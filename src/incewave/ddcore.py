@@ -88,10 +88,6 @@ def dd_scale_pow2(xh, xl, f):
     return xh * f, xl * f
 
 
-def dd_to_float(xh, xl):
-    return xh + xl
-
-
 def dd_sign(xh, xl):
     """Elementwise sign of hi + lo (0 only when exactly zero)."""
     s = np.sign(xh)
@@ -99,15 +95,3 @@ def dd_sign(xh, xl):
     if np.any(z):
         s = np.where(z, np.sign(xl), s)
     return s
-
-
-def dd_abs_le(xh, xl, bound):
-    return np.abs(xh) <= bound
-
-
-def dd_from_sum(values):
-    """Exact cascaded sum of a 1-D float array into one dd scalar pair."""
-    sh, sl = 0.0, 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        sh, sl = dd_add(sh, sl, v, 0.0)
-    return sh, sl

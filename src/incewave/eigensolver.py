@@ -1,20 +1,24 @@
 """Spectral decomposition of the coupling matrices.
 
-Eigenvalues come from bisection on Sturm sequences: the number of eigenvalues
-below a shift equals the number of sign changes along the leading-principal-
-minor recurrence, which only involves the super*sub products and therefore
-works directly on the unsymmetric matrix. The double tier runs the recurrence
-in float64; the extended tier re-runs the final bisection in double-double
-arithmetic, which resolves eigenvalue pairs splitting around the 12th
-significant digit, below one ulp of the values themselves.
+Both tiers start from one LAPACK call: numpy.linalg.eigh on the dense
+symmetrized matrix gives all float64 eigenvalues, which are the double-tier
+values, and starting vectors. The extended tier refines each value by
+bisection on Sturm sequences in double-double arithmetic: the number of
+eigenvalues below a shift equals the number of sign changes along the
+leading-principal-minor recurrence, which only involves the super*sub
+products and therefore works directly on the unsymmetric matrix. The
+compensated recurrence resolves eigenvalue pairs splitting around the 12th
+significant digit, below one ulp of the values themselves; the float64
+recurrence is kept for sturm_count.
 
-Eigenvectors come from inverse iteration on the symmetrized matrix (with
-reorthogonalization against previously computed members of a near-degenerate
-cluster), mapped back through the diagonal similarity scaling. Each cluster is
-then rotated to diagonalize the weighted bilinear Gram form, which recovers
-the physically correct pair members even when the eigenvalue splitting is
-below arithmetic resolution; members are matched to eigenvalues through a
-compensated Rayleigh quotient.
+Eigenvectors come from two sweeps of inverse iteration on the symmetrized
+matrix at the final shifts, all eigenvalues solved at once and each
+near-degenerate cluster re-orthonormalized after every sweep, then mapped
+back through the diagonal similarity scaling. Each cluster is then rotated to
+diagonalize the weighted bilinear Gram form, which recovers the physically
+correct pair members even when the eigenvalue splitting is below arithmetic
+resolution; members are matched to eigenvalues through a compensated
+Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ _EPS = np.finfo(float).eps
 # Consecutive eigenvalues closer than this (relative to the spectral scale)
 # are treated as one cluster for the eigenvector post-processing.
 _CLUSTER_RELGAP = 1e-4
+
+# Inverse-iteration sweeps from the LAPACK vectors. The LAPACK vectors alone
+# miss the pair-member assignment, and one sweep leaves the odd n=15, a=12
+# top pair (split 1.95e-13) further from a 60-digit reference than two do.
+_SWEEPS = 2
 
 
 class Tier(Enum):
@@ -180,21 +189,6 @@ def _gershgorin(m: TridiagonalMatrix) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _bisect_f64(diag, g, lo, hi, max_iter=120):
-    dim = len(diag)
-    ks = np.arange(1, dim + 1)
-    los = np.full(dim, lo)
-    his = np.full(dim, hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (los + his)
-        take = _count_f64(diag, g, mid) >= ks
-        his = np.where(take, mid, his)
-        los = np.where(take, los, mid)
-        if np.all(his - los <= 4 * _EPS * np.maximum(1.0, np.abs(his))):
-            break
-    return 0.5 * (los + his)
-
-
 def _bisect_dd(diag, g_dd, loh, lol, hih, hil, ks, target, max_iter=160):
     for _ in range(max_iter):
         mh, ml = ddc.dd_add(loh, lol, hih, hil)
@@ -228,94 +222,87 @@ def _eigenvalues_dd(m: TridiagonalMatrix, seeds: np.ndarray) -> tuple[np.ndarray
     lol = np.where(bad_lo, 0.0, lol)
     hih = np.where(bad_hi, ghi, hih)
     hil = np.where(bad_hi, 0.0, hil)
-    return _bisect_dd(m.diag, g_dd, loh, lol, hih, hil, ks, 1e-26 * scale)
+    eh, el = _bisect_dd(m.diag, g_dd, loh, lol, hih, hil, ks, 1e-26 * scale)
+    # a refined value far outside its seed bracket means the compensated
+    # recurrence broke down (e.g. overflow at extreme a)
+    stray = np.abs((eh + el) - seeds) > 1e-8 * scale
+    if np.any(stray):
+        i = int(np.argmax(stray))
+        raise NumericalFailureError(
+            f"double-double refinement moved eigenvalue label k={dim - i} "
+            f"from {float(seeds[i])!r} to {float(eh[i] + el[i])!r}")
+    return eh, el
 
 
 # ----------------------------------------------------------------------
-# Eigenvectors: inverse iteration on the symmetric form
+# Eigenvectors: LAPACK start, batched inverse iteration on the symmetric form
 # ----------------------------------------------------------------------
+
+
+def _lapack_eigh(m: TridiagonalMatrix, c: np.ndarray):
+    """Ascending float64 eigenvalues and unit column eigenvectors of the
+    symmetrized matrix, from LAPACK through numpy.linalg.eigh."""
+    t = np.diag(m.diag.astype(float))
+    i = np.arange(m.dim - 1)
+    t[i, i + 1] = c
+    t[i + 1, i] = c
+    try:
+        return np.linalg.eigh(t)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"LAPACK eigh failed: {exc}") from exc
 
 
 def _solve_shifted(dshift, e, rhs):
     """Solve T x = rhs for tridiagonal T(diag dshift, offdiag e) by Gaussian
     elimination with partial pivoting; tiny pivots are replaced (the standard
-    inverse-iteration treatment of a numerically singular shift)."""
-    n = dshift.size
-    tiny = _EPS * (np.max(np.abs(dshift)) + 2 * (np.max(np.abs(e)) if e.size else 0.0) + 1.0)
-    if n == 1:
-        return rhs / (dshift[0] if dshift[0] != 0 else tiny)
-    dm = dshift.astype(float).copy()
-    du = e.astype(float).copy()
-    dl = e.astype(float).copy()
-    du2 = np.zeros(n - 2) if n > 2 else np.zeros(0)
-    x = rhs.astype(float).copy()
+    inverse-iteration treatment of a numerically singular shift). dshift and
+    rhs may carry a trailing axis of k shifts, solved as k independent
+    systems that share e."""
+    shape = np.shape(dshift)
+    n = shape[0]
+    dm = np.array(dshift, dtype=float).reshape(n, -1)
+    x = np.array(rhs, dtype=float).reshape(dm.shape)
+    du = np.repeat(np.reshape(e, (-1, 1)).astype(float), dm.shape[1], axis=1)
+    du2 = np.zeros_like(du)
+    tiny = _EPS * (np.max(np.abs(dm), axis=0) + 2 * (np.max(np.abs(e)) if e.size else 0.0) + 1.0)
     for i in range(n - 1):
-        if abs(dm[i]) >= abs(dl[i]):
-            if dm[i] == 0.0:
-                dm[i] = tiny
-            fact = dl[i] / dm[i]
-            dm[i + 1] -= fact * du[i]
-            x[i + 1] -= fact * x[i]
-            if i < n - 2:
-                du2[i] = 0.0
-        else:
-            fact = dm[i] / dl[i]
-            dm[i] = dl[i]
-            tmp = dm[i + 1]
-            dm[i + 1] = du[i] - fact * tmp
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] *= -fact
-            du[i] = tmp
-            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+        piv = np.abs(dm[i]) < abs(e[i])
+        dmi = np.where(piv, e[i], np.where(dm[i] == 0.0, tiny, dm[i]))
+        fact = np.where(piv, dm[i], e[i]) / dmi
+        nxt = dm[i + 1].copy()
+        dm[i] = dmi
+        dm[i + 1] = np.where(piv, du[i] - fact * nxt, nxt - fact * du[i])
+        if i < n - 2:
+            du2[i] = np.where(piv, du[i + 1], 0.0)
+            du[i + 1] = np.where(piv, -fact * du[i + 1], du[i + 1])
+        du[i] = np.where(piv, nxt, du[i])
+        xi = x[i].copy()
+        x[i] = np.where(piv, x[i + 1], xi)
+        x[i + 1] = np.where(piv, xi - fact * x[i + 1], x[i + 1] - fact * xi)
     for i in range(n - 1, -1, -1):
         acc = x[i]
         if i + 1 < n:
-            acc -= du[i] * x[i + 1]
+            acc = acc - du[i] * x[i + 1]
         if i + 2 < n:
-            acc -= du2[i] * x[i + 2]
-        x[i] = acc / (dm[i] if dm[i] != 0 else tiny)
-    return x
+            acc = acc - du2[i] * x[i + 2]
+        x[i] = acc / np.where(dm[i] != 0, dm[i], tiny)
+    return x.reshape(shape)
 
 
-def _sym_residual(dsym, c, mu, v):
-    t = (dsym - mu) * v
-    if c.size:
-        t[:-1] += c * v[1:]
-        t[1:] += c * v[:-1]
-    return float(np.max(np.abs(t)))
-
-
-def _inverse_iteration(dsym, c, mu, label, ortho=(), start_offset=0):
-    """One unit eigenvector of the symmetric form at eigenvalue mu,
-    reorthogonalized against already-computed cluster members in `ortho`."""
-    n = dsym.size
-    shifted = dsym - mu
-    norm_t = float(np.max(np.abs(dsym)) + 2 * (np.max(np.abs(c)) if c.size else 0.0))
-    tight = 64 * _EPS * max(1.0, norm_t)
-    order = np.argsort(np.abs(dsym - mu), kind="stable")
-    best_v, best_res = None, math.inf
-    for attempt in range(min(n, 8)):
-        v = np.zeros(n)
-        v[order[(attempt + start_offset) % n]] = 1.0
-        for _ in range(4):
-            w = _solve_shifted(shifted, c, v)
-            for u in ortho:
-                w -= (u @ w) * u
-            nw = np.linalg.norm(w)
-            if not np.isfinite(nw) or nw == 0.0:
-                break
-            v = w / nw
-            res = _sym_residual(dsym, c, mu, v)
-            if res < best_res:
-                best_v, best_res = v.copy(), res
-            if res <= tight:
-                return v
-    if best_v is not None and best_res <= 1e-8 * max(1.0, norm_t):
-        return best_v
-    raise NumericalFailureError(
-        f"inverse iteration failed to converge for eigenvalue label k={label}"
-    )
+def _inverse_sweeps(dsym, c, mu, v, clusters):
+    """Inverse iteration at the shifts mu (descending) for all columns of v at
+    once, re-orthonormalized within every cluster after each sweep. A column
+    whose solve does not stay finite keeps its previous vector."""
+    for _ in range(_SWEEPS):
+        w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
+        norm = np.linalg.norm(w, axis=0)
+        ok = np.isfinite(norm) & (norm > 0)
+        w = np.where(ok, w / np.where(ok, norm, 1.0), v)
+        for sl in clusters:
+            if sl.stop - sl.start > 1:
+                w[:, sl] = np.linalg.qr(w[:, sl])[0]
+        v = w
+    return v
 
 
 def _bilinear_weight(m: TridiagonalMatrix) -> np.ndarray:
@@ -338,55 +325,60 @@ def _cluster_slices(vals_desc: np.ndarray) -> list[slice]:
     return out
 
 
-def _rayleigh_dd(m: TridiagonalMatrix, v: np.ndarray) -> float:
-    """Compensated Rayleigh quotient (v . M v) / (v . v)."""
-    numh, numl = 0.0, 0.0
-    denh, denl = 0.0, 0.0
-    for i in range(m.dim):
-        th, tl = ddc.two_prod(float(m.diag[i]), v[i])
-        if i + 1 < m.dim:
-            ph, pl = ddc.two_prod(float(m.super[i]), v[i + 1])
-            th, tl = ddc.dd_add(th, tl, ph, pl)
-        if i > 0:
-            ph, pl = ddc.two_prod(float(m.sub[i - 1]), v[i - 1])
-            th, tl = ddc.dd_add(th, tl, ph, pl)
-        th, tl = ddc.dd_mul(th, tl, v[i], 0.0)
-        numh, numl = ddc.dd_add(numh, numl, th, tl)
-        sh, sl = ddc.two_prod(v[i], v[i])
-        denh, denl = ddc.dd_add(denh, denl, sh, sl)
+def _dd_sum(h, l):
+    """Double-double sum over axis 0 by pairwise (tree) addition."""
+    while h.shape[0] > 1:
+        half = h.shape[0] // 2
+        sh, sl = ddc.dd_add(h[:half], l[:half], h[half:2 * half], l[half:2 * half])
+        h = np.concatenate([sh, h[2 * half:]])
+        l = np.concatenate([sl, l[2 * half:]])
+    return h[0], l[0]
+
+
+def _rayleigh_dd(m: TridiagonalMatrix, v: np.ndarray) -> np.ndarray:
+    """Compensated Rayleigh quotients (v . M v) / (v . v) of the columns of a
+    (dim, k) block v, or of a single vector v (a 0-d result)."""
+    v = np.asarray(v, dtype=float)
+    blk = v.reshape(m.dim, -1)
+    th, tl = ddc.two_prod(m.diag.astype(float)[:, None], blk)
+    if m.dim > 1:
+        ph, pl = ddc.two_prod(m.super[:, None], blk[1:])
+        th[:-1], tl[:-1] = ddc.dd_add(th[:-1], tl[:-1], ph, pl)
+        ph, pl = ddc.two_prod(m.sub[:, None], blk[:-1])
+        th[1:], tl[1:] = ddc.dd_add(th[1:], tl[1:], ph, pl)
+    numh, numl = _dd_sum(*ddc.dd_mul(th, tl, blk, 0.0))
+    denh, denl = _dd_sum(*ddc.two_prod(blk, blk))
     qh, ql = ddc.dd_div(numh, numl, denh, denl)
-    return qh + ql
+    return (qh + ql).reshape(v.shape[1:])
 
 
 def _fix_signs(vecs_rows: np.ndarray) -> np.ndarray:
-    out = vecs_rows.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
+    """Make each row's largest-magnitude component positive; argmax takes the
+    first maximum, so ties break toward lower r."""
+    j = np.argmax(np.abs(vecs_rows), axis=1)
+    flip = vecs_rows[np.arange(vecs_rows.shape[0]), j] < 0
+    return np.where(flip[:, None], -vecs_rows, vecs_rows)
 
 
-def _rotate_clusters(m: TridiagonalMatrix, vals_desc, vecs_rows):
+def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], vecs_rows):
     """Diagonalize the bilinear Gram form within every near-degenerate
     cluster and order members by descending Rayleigh quotient."""
     out = vecs_rows.copy()
-    weight = None
-    for sl in _cluster_slices(vals_desc):
-        nmem = sl.stop - sl.start
-        if nmem == 1:
-            continue
-        if weight is None:
-            weight = _bilinear_weight(m)
+    clusters = [sl for sl in clusters if sl.stop - sl.start > 1]
+    if not clusters:
+        return out
+    weight = _bilinear_weight(m)
+    for sl in clusters:
         block = out[sl].T
         gram = block.T @ weight @ block
         gram = 0.5 * (gram + gram.T)
-        _, rot = np.linalg.eigh(gram)
-        block = block @ rot
-        block /= np.sqrt(np.sum(block**2, axis=0))
-        quot = np.array([_rayleigh_dd(m, block[:, j]) for j in range(nmem)])
-        block = block[:, np.argsort(-quot, kind="stable")]
-        out[sl] = block.T
+        block = block @ np.linalg.eigh(gram)[1]
+        out[sl] = (block / np.sqrt(np.sum(block**2, axis=0))).T
+    rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in clusters])
+    quot = np.empty(out.shape[0])
+    quot[rows] = _rayleigh_dd(m, out[rows].T)
+    for sl in clusters:
+        out[sl] = out[sl][np.argsort(-quot[sl], kind="stable")]
     return out
 
 
@@ -404,13 +396,12 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
         vecs = np.eye(dim)[order]
-        vecs = _fix_signs(_rotate_clusters(m, vals, vecs))
+        vecs = _fix_signs(_rotate_clusters(m, _cluster_slices(vals), vecs))
         return SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
                                 vals, vecs, tier, np.zeros(dim) if want_lo else None)
 
-    g = m.offdiag_products()
-    glo, ghi = _gershgorin(m)
-    asc = _bisect_f64(m.diag, g, glo, ghi)
+    c, dscale = symmetrize(m)
+    asc, v = _lapack_eigh(m, c)
     if want_lo:
         eh, el = _eigenvalues_dd(m, asc)
         asc = eh + el  # best float64 rounding of the compensated value
@@ -421,18 +412,12 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     vals_desc = asc[::-1].copy()
     vlo_desc = asc_lo[::-1].copy()
 
-    c, dscale = symmetrize(m)
-    vecs = np.empty((dim, dim))
-    for sl in _cluster_slices(vals_desc):
-        members: list[np.ndarray] = []
-        for i in range(sl.start, sl.stop):
-            v = _inverse_iteration(m.diag.astype(float), c, vals_desc[i], i + 1,
-                                   ortho=members, start_offset=i - sl.start)
-            members.append(v)
-            vecs[i] = v / dscale
+    clusters = _cluster_slices(vals_desc)
+    v = _inverse_sweeps(m.diag.astype(float), c, vals_desc, v[:, ::-1], clusters)
+    vecs = (v / dscale[:, None]).T
     vecs /= np.sqrt(np.sum(vecs**2, axis=1))[:, None]
 
-    vecs = _fix_signs(_rotate_clusters(m, vals_desc, vecs))
+    vecs = _fix_signs(_rotate_clusters(m, clusters, vecs))
     sol = SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
                            vals_desc, vecs, tier, vlo_desc if want_lo else None)
     _check_residuals(m, sol)
@@ -440,13 +425,14 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
 
 
 def _check_residuals(m: TridiagonalMatrix, sol: SpectralSolution):
-    for i in range(m.dim):
-        d = sol.eigenvectors[i]
-        t = (m.diag - sol.eigenvalues[i]) * d
-        t[:-1] += m.super * d[1:]
-        t[1:] += m.sub * d[:-1]
-        if np.max(np.abs(t)) > 1e-10 * (abs(sol.eigenvalues[i]) + m.a * m.dim + 1.0):
-            raise NumericalFailureError(f"eigenpair residual out of tolerance for label k={i + 1}")
+    vals, vecs = sol.eigenvalues, sol.eigenvectors
+    t = (m.diag - vals[:, None]) * vecs
+    t[:, :-1] += m.super * vecs[:, 1:]
+    t[:, 1:] += m.sub * vecs[:, :-1]
+    bad = np.max(np.abs(t), axis=1) > 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0)
+    if np.any(bad):
+        raise NumericalFailureError(
+            f"eigenpair residual out of tolerance for label k={int(np.argmax(bad)) + 1}")
 
 
 def refine_eigenvalue(m: TridiagonalMatrix, eta0: float,
@@ -487,7 +473,7 @@ def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
         loh, lol = ddc.dd(np.array([lo]))
         hih, hil = ddc.dd(np.array([hi]))
     else:
-        asc = _bisect_f64(m.diag, m.offdiag_products(), glo, ghi)
+        asc = _lapack_eigh(m, symmetrize(m)[0])[0]
         idx = int(np.argmin(np.abs(asc - eta0)))
         lo = 0.5 * (asc[idx - 1] + asc[idx]) if idx > 0 else glo
         hi = 0.5 * (asc[idx + 1] + asc[idx]) if idx < m.dim - 1 else ghi

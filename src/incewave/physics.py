@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.constants as _const
 
 from .eigensolver import SpectralSolution
 from .errors import AmbiguousInputError, InvalidArgumentError, NotUnderdenseError
@@ -36,8 +35,16 @@ MC2_EV = 510998.95  # electron rest energy used on the handbook path
 MU0_PREFACTOR = 1.06e-9  # mu_0 = 1.06e-9 sqrt(S) / E_ph
 NPH_PREFACTOR = 2.08e8  # n_ph = 2.08e8 S / E_ph  [cm^-3]
 
-_HBAR_EVS = _const.hbar / _const.e  # hbar in eV s
-_HBARC_EVCM = _const.hbar * _const.c / _const.e * 100.0  # hbar c in eV cm
+# CODATA 2022 recommended values in SI units (h, e and c are exact; hbar is
+# h / 2 pi rounded to float64), the values scipy.constants 1.17 ships
+_HBAR = 1.0545718176461565e-34  # J s
+_E = 1.602176634e-19  # C
+_C = 299792458.0  # m / s
+_EPSILON_0 = 8.8541878188e-12  # F / m
+_M_E = 9.1093837139e-31  # kg
+
+_HBAR_EVS = _HBAR / _E  # hbar in eV s
+_HBARC_EVCM = _HBAR * _C / _E * 100.0  # hbar c in eV cm
 
 
 class PHatKind(Enum):
@@ -97,7 +104,7 @@ def plasma_energy_from_density(n_e_cm3: float) -> float:
     """hbar w_p in eV for an electron density in cm^-3."""
     if n_e_cm3 <= 0:
         raise InvalidArgumentError("electron density must be positive")
-    w_p = math.sqrt(n_e_cm3 * 1e6 * _const.e**2 / (_const.epsilon_0 * _const.m_e))
+    w_p = math.sqrt(n_e_cm3 * 1e6 * _E**2 / (_EPSILON_0 * _M_E))
     return w_p * _HBAR_EVS
 
 
@@ -106,12 +113,12 @@ def density_from_plasma_energy(e_p_ev: float) -> float:
     if e_p_ev <= 0:
         raise InvalidArgumentError("plasma energy must be positive")
     w_p = e_p_ev / _HBAR_EVS
-    return _const.epsilon_0 * _const.m_e * w_p**2 / _const.e**2 / 1e6
+    return _EPSILON_0 * _M_E * w_p**2 / _E**2 / 1e6
 
 
 def peak_field_vm(intensity_wcm2: float) -> float:
     """Peak electric field F_0 in V/m for a linearly polarized wave."""
-    return math.sqrt(2.0 * intensity_wcm2 * 1e4 / (_const.epsilon_0 * _const.c))
+    return math.sqrt(2.0 * intensity_wcm2 * 1e4 / (_EPSILON_0 * _C))
 
 
 def mass_shift(mu0: float) -> float:
@@ -164,9 +171,9 @@ def derive_config(photon_energy_ev: float,
     f0 = peak_field_vm(s_val)
     w0 = photon_energy_ev / _HBAR_EVS
     wp = plasma_energy_ev / _HBAR_EVS
-    mu0_fp = _const.e * f0 / (_const.m_e * _const.c * w0)
-    nph_fp = s_val * 1e4 / (_const.c * photon_energy_ev * _const.e) / 1e6
-    a_fp = 4.0 * _const.e * f0 * _const.c / (photon_energy_ev * _const.e * wp)
+    mu0_fp = _E * f0 / (_M_E * _C * w0)
+    nph_fp = s_val * 1e4 / (_C * photon_energy_ev * _E) / 1e6
+    a_fp = 4.0 * _E * f0 * _C / (photon_energy_ev * _E * wp)
 
     return PhysicalConfig(
         photon_energy_ev=float(photon_energy_ev),
@@ -185,9 +192,9 @@ def coupling_forms(cfg: PhysicalConfig) -> tuple[float, float, float, float]:
     f0 = peak_field_vm(cfg.intensity_wcm2)
     w0 = cfg.photon_energy_ev / _HBAR_EVS
     wp = cfg.plasma_energy_ev / _HBAR_EVS
-    hw0_j = cfg.photon_energy_ev * _const.e
-    mc2_j = _const.m_e * _const.c**2
-    a1 = 4.0 * _const.e * f0 * _const.c / (hw0_j * wp)
+    hw0_j = cfg.photon_energy_ev * _E
+    mc2_j = _M_E * _C**2
+    a1 = 4.0 * _E * f0 * _C / (hw0_j * wp)
     # work of the electric force along the reduced plasma wavelength / photon
     # energy, evaluated through eV/cm quantities as an independent rounding path
     ef0_ev_cm = f0 / 100.0  # e * F0 in eV per cm
@@ -195,7 +202,7 @@ def coupling_forms(cfg: PhysicalConfig) -> tuple[float, float, float, float]:
     n_ph_m3 = cfg.n_ph_cm3 * 1e6
     n_e_m3 = cfg.electron_density_cm3 * 1e6
     a3 = 4.0 * math.sqrt((2.0 * mc2_j / hw0_j) * (n_ph_m3 / n_e_m3)) if n_e_m3 > 0 else 0.0
-    a4 = 2.0 * cfg.mu0 * (2.0 * mc2_j / (_const.hbar * wp))
+    a4 = 2.0 * cfg.mu0 * (2.0 * mc2_j / (_HBAR * wp))
     return a1, a2, a3, a4
 
 

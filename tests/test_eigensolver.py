@@ -227,6 +227,81 @@ def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
     x = _solve_shifted(d, e, b)
     ref = np.linalg.solve(dense, b)
     np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
+    # a trailing axis of k shifts solves k systems in one call, each exactly as
+    # a single solve would
+    k = int(rng.integers(1, 5))
+    shifted = d[:, None] - rng.normal(size=k)[None, :]
+    rhs = rng.normal(size=(n, k))
+    xs = _solve_shifted(shifted, e, rhs)
+    assert xs.shape == (n, k)
+    for j in range(k):
+        np.testing.assert_array_equal(xs[:, j], _solve_shifted(shifted[:, j], e, rhs[:, j]))
+
+
+@given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_double_tier_eigenvalues_certified_by_sturm_count(parity, n, log_a):
+    # the float64 Sturm count runs on the unsymmetric matrix, independent of
+    # LAPACK: at the midpoint of every gap that float64 can resolve, it must
+    # count exactly the eigenvalues below. The values are those of the LAPACK
+    # stage that eigen_decompose returns at the double tier; eigen_decompose
+    # itself is not called, as its cluster rotation still fails for part of
+    # this range (dimension >= 40 with a >= ~30).
+    from incewave.eigensolver import _lapack_eigh
+
+    m = build_even_matrix(n, 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
+    vals = _lapack_eigh(m, symmetrize(m)[0])[0]
+    assert np.all(np.diff(vals) >= 0)
+    wide = np.flatnonzero(np.diff(vals) > 1e-8 * max(1.0, float(np.max(np.abs(vals)))))
+    for i in wide:
+        assert sturm_count(m, 0.5 * (vals[i] + vals[i + 1])) == i + 1, f"gap after {i + 1}"
+    assert sturm_count(m, vals[0] - 1.0) == 0
+    assert sturm_count(m, vals[-1] + 1.0) == m.dim
+
+
+def _mpmath_vectors(m):
+    """Unit, sign-fixed coefficient vectors (descending eigenvalues) from a
+    60-digit mpmath.eigsy solve of the symmetrized matrix."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        sym = mp.zeros(m.dim)
+        scale = [mp.mpf(1)]
+        for i in range(m.dim):
+            sym[i, i] = mp.mpf(float(m.diag[i]))
+        for i in range(m.dim - 1):
+            up, down = mp.mpf(float(m.super[i])), mp.mpf(float(m.sub[i]))
+            sym[i, i + 1] = sym[i + 1, i] = mp.sqrt(up * down)
+            scale.append(scale[-1] * mp.sqrt(up / down))
+        vals, vecs = mp.eigsy(sym)
+        out = np.empty((m.dim, m.dim))
+        for row, j in enumerate(sorted(range(m.dim), key=lambda j: -vals[j])):
+            col = [vecs[i, j] / scale[i] for i in range(m.dim)]
+            norm = mp.sqrt(mp.fsum(x * x for x in col))
+            out[row] = [float(x / norm) for x in col]
+    peak = out[np.arange(m.dim), np.argmax(np.abs(out), axis=1)]
+    return out * np.sign(peak)[:, None]
+
+
+@pytest.fixture(scope="module")
+def mpmath_vectors_n15_a12():
+    return {parity: _mpmath_vectors(builder(15, 12.0))
+            for parity, builder in (("even", build_even_matrix), ("odd", build_odd_matrix))}
+
+
+@pytest.mark.parametrize("parity,tier,bound", [
+    ("even", Tier.DOUBLE, 1.2e-4), ("even", Tier.EXTENDED, 1.2e-4),
+    ("odd", Tier.DOUBLE, 1.1e-1), ("odd", Tier.EXTENDED, 1.4e-2),
+])
+def test_eigenvectors_match_mpmath_reference(mpmath_vectors_n15_a12, parity, tier, bound):
+    # the bounds are the largest component errors of the Sturm-bisection
+    # solver this one replaced (1.16e-4, 1.16e-4, 1.08e-1, 1.39e-2); the worst
+    # vectors are the members of the tightest pairs, (2,3) splitting by 1.7e-12
+    # (even) and 1.95e-13 (odd)
+    builder = build_even_matrix if parity == "even" else build_odd_matrix
+    sol = eigen_decompose(builder(15, 12.0), tier)
+    err = np.max(np.abs(sol.eigenvectors - mpmath_vectors_n15_a12[parity]))
+    assert err < bound
 
 
 # 50-digit references for the odd family n=15, a=12 (descending); its top
