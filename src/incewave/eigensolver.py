@@ -8,8 +8,8 @@ eigenvalues below a shift equals the number of sign changes along the
 leading-principal-minor recurrence, which only involves the super*sub
 products and therefore works directly on the unsymmetric matrix. The
 compensated recurrence resolves eigenvalue pairs splitting around the 12th
-significant digit, below one ulp of the values themselves; the float64
-recurrence is kept for sturm_count.
+significant digit, below one ulp of the values themselves. sturm_count
+counts sign changes along the float64 minors of ince_matrix.scaled_minors.
 
 Eigenvectors come from two sweeps of inverse iteration on the symmetrized
 matrix at the final shifts, all eigenvalues solved at once and each
@@ -36,7 +36,7 @@ from .errors import (
     InvalidBracketError,
     NumericalFailureError,
 )
-from .ince_matrix import Parity, TridiagonalMatrix
+from .ince_matrix import Parity, TridiagonalMatrix, scaled_minors
 
 _EPS = np.finfo(float).eps
 
@@ -123,27 +123,6 @@ _DOWN = 2.0**-600
 _UP = 2.0**600
 
 
-def _count_f64(diag, g, xs):
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cnt = np.zeros(xs.shape, dtype=np.int64)
-    sprev = np.ones(xs.shape)
-    pm2 = np.ones_like(xs)
-    pm1 = diag[0] - xs
-    for j in range(len(diag)):
-        if j > 0:
-            pm2, pm1 = pm1, (diag[j] - xs) * pm1 - g[j - 1] * pm2
-            mx = np.maximum(np.abs(pm1), np.abs(pm2))
-            f = np.where(mx > _BIG, _DOWN, 1.0)
-            f = np.where((mx > 0) & (mx < _SMALL), _UP, f)
-            pm1 *= f
-            pm2 *= f
-        s = np.sign(pm1)
-        s = np.where(s == 0, -sprev, s)
-        cnt += s != sprev
-        sprev = s
-    return cnt
-
-
 def _count_dd(diag, g_dd, xh, xl):
     xh = np.atleast_1d(np.asarray(xh, dtype=float))
     xl = np.atleast_1d(np.asarray(xl, dtype=float))
@@ -175,7 +154,12 @@ def sturm_count(m: TridiagonalMatrix, eta: float) -> int:
     """Number of eigenvalues of m strictly below eta (float64 arithmetic)."""
     if m.a == 0:
         return int(np.sum(m.diag < eta))
-    return int(_count_f64(m.diag, m.offdiag_products(), [eta])[0])
+    cnt, sprev = 0, 1.0
+    for s in np.sign(scaled_minors(m, float(eta))[0]):
+        s = s or -sprev
+        cnt += s != sprev
+        sprev = s
+    return int(cnt)
 
 
 def _gershgorin(m: TridiagonalMatrix) -> tuple[float, float]:
@@ -424,12 +408,18 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     return sol
 
 
-def _check_residuals(m: TridiagonalMatrix, sol: SpectralSolution):
-    vals, vecs = sol.eigenvalues, sol.eigenvectors
+def eigenpair_residuals(m: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """max_r |((M - vals[k]) vecs[k])_r| for every row k of the (k, dim)
+    coefficient block vecs."""
     t = (m.diag - vals[:, None]) * vecs
     t[:, :-1] += m.super * vecs[:, 1:]
     t[:, 1:] += m.sub * vecs[:, :-1]
-    bad = np.max(np.abs(t), axis=1) > 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0)
+    return np.max(np.abs(t), axis=1)
+
+
+def _check_residuals(m: TridiagonalMatrix, sol: SpectralSolution):
+    vals = sol.eigenvalues
+    bad = eigenpair_residuals(m, vals, sol.eigenvectors) > 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0)
     if np.any(bad):
         raise NumericalFailureError(
             f"eigenpair residual out of tolerance for label k={int(np.argmax(bad)) + 1}")
@@ -457,34 +447,24 @@ def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
         return float(m.diag[0]), 0.0
     if m.a == 0:
         return float(m.diag[np.argmin(np.abs(m.diag - eta0))]), 0.0
-    g_dd = ddc.two_prod(m.super, m.sub)
-    glo, ghi = _gershgorin(m)
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not lo < hi:
-            raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
-        nlo = int(_count_dd(m.diag, g_dd, lo, 0.0)[0])
-        nhi = int(_count_dd(m.diag, g_dd, hi, 0.0)[0])
-        if nhi - nlo != 1:
-            raise InvalidBracketError(
-                f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1"
-            )
-        ks = np.array([nlo + 1])
-        loh, lol = ddc.dd(np.array([lo]))
-        hih, hil = ddc.dd(np.array([hi]))
-    else:
+    if bracket is None:
         asc = _lapack_eigh(m, symmetrize(m)[0])[0]
         idx = int(np.argmin(np.abs(asc - eta0)))
-        lo = 0.5 * (asc[idx - 1] + asc[idx]) if idx > 0 else glo
-        hi = 0.5 * (asc[idx + 1] + asc[idx]) if idx < m.dim - 1 else ghi
-        ks = np.array([idx + 1])
-        loh, lol = ddc.dd(np.array([lo]))
-        hih, hil = ddc.dd(np.array([hi]))
-        nlo = int(_count_dd(m.diag, g_dd, loh, lol)[0])
-        nhi = int(_count_dd(m.diag, g_dd, hih, hil)[0])
-        if not (nlo <= idx < nhi):
-            loh, lol = ddc.dd(np.array([glo]))
-            hih, hil = ddc.dd(np.array([ghi]))
+        eh, el = _eigenvalues_dd(m, asc)
+        return float(eh[idx]), float(el[idx])
+    g_dd = ddc.two_prod(m.super, m.sub)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
+    nlo = int(_count_dd(m.diag, g_dd, lo, 0.0)[0])
+    nhi = int(_count_dd(m.diag, g_dd, hi, 0.0)[0])
+    if nhi - nlo != 1:
+        raise InvalidBracketError(
+            f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1"
+        )
+    ks = np.array([nlo + 1])
+    loh, lol = ddc.dd(np.array([lo]))
+    hih, hil = ddc.dd(np.array([hi]))
     scale = max(1.0, abs(eta0))
     eh, el = _bisect_dd(m.diag, g_dd, loh, lol, hih, hil, ks, 1e-26 * scale)
     return float(eh[0]), float(el[0])

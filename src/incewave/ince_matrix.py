@@ -118,29 +118,35 @@ def build_odd_matrix(n: int, a: float) -> TridiagonalMatrix:
     return TridiagonalMatrix(Parity.ODD, n, a, -n, n, diag, sup, sub)
 
 
-def char_poly_scaled(m: TridiagonalMatrix, eta: float) -> tuple[float, int]:
-    """det(m - eta*I) as (mantissa, exp2) with value = mantissa * 2**exp2.
+def scaled_minors(m: TridiagonalMatrix, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Leading principal minors p_1..p_dim of m - x*I at every shift x, as
+    (mantissa, exp2) arrays of shape (dim,) + xs.shape with
+    p_j = mantissa[j-1] * 2**exp2[j-1].
 
-    Three-term leading-principal-minor recurrence with power-of-two rescaling,
-    so arbitrarily large dimensions cannot overflow. The mantissa carries the
-    exact sign.
+    Three-term recurrence p_j = (diag_j - x) p_{j-1} - g_{j-1} p_{j-2} with
+    power-of-two rescaling, so arbitrarily large dimensions cannot overflow.
+    The mantissa carries the exact sign.
     """
+    xs = np.asarray(xs, dtype=float)
     g = m.offdiag_products()
-    pm2, pm1 = 1.0, m.diag[0] - eta
-    exp2 = 0
+    mant = np.empty((m.dim,) + xs.shape)
+    exp2 = np.zeros((m.dim,) + xs.shape, dtype=np.int64)
+    pm2, pm1 = np.ones_like(xs), m.diag[0] - xs
+    mant[0] = pm1
     for j in range(1, m.dim):
-        p = (m.diag[j] - eta) * pm1 - g[j - 1] * pm2
-        pm2, pm1 = pm1, p
-        big = max(abs(pm1), abs(pm2))
-        if big > 1e150:
-            pm1 = math.ldexp(pm1, -512)
-            pm2 = math.ldexp(pm2, -512)
-            exp2 += 512
-        elif 0.0 < big < 1e-150:
-            pm1 = math.ldexp(pm1, 512)
-            pm2 = math.ldexp(pm2, 512)
-            exp2 -= 512
-    return pm1, exp2
+        pm2, pm1 = pm1, (m.diag[j] - xs) * pm1 - g[j - 1] * pm2
+        big = np.maximum(np.abs(pm1), np.abs(pm2))
+        shift = np.where(big > 1e150, -512, np.where((big > 0.0) & (big < 1e-150), 512, 0))
+        pm1, pm2 = np.ldexp(pm1, shift), np.ldexp(pm2, shift)
+        mant[j], exp2[j] = pm1, exp2[j - 1] - shift
+    return mant, exp2
+
+
+def char_poly_scaled(m: TridiagonalMatrix, eta: float) -> tuple[float, int]:
+    """det(m - eta*I) as (mantissa, exp2) with value = mantissa * 2**exp2,
+    the last of scaled_minors. The mantissa carries the exact sign."""
+    mant, exp2 = scaled_minors(m, float(eta))
+    return float(mant[-1]), int(exp2[-1])
 
 
 def char_poly_eval(m: TridiagonalMatrix, eta: float) -> float:

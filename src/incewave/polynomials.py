@@ -11,8 +11,13 @@ In the wave phase variable z = xi/2 every polynomial f satisfies
     f'' + a sin(2z) (f' + i s f) + (eta - q a cos(2z)) f = 0
 
 with s = +1 (plus branch) or -1 (minus branch), q = 2n - 1 (even family) or
-q = 2n (odd family), and eta the matrix eigenvalue; ode_residual evaluates
-the left-hand side directly.
+q = 2n (odd family), and eta the matrix eigenvalue.
+
+Every value and derivative goes through harmonic_sum, the one evaluator of
+the phase matrix exp(-i outer(xi, m_r)). governing_residual evaluates the
+left-hand side for a whole block of coefficient vectors at once, as the
+check suite does for all labels of one solution; ode_residual is its
+one-column case.
 """
 
 from __future__ import annotations
@@ -74,13 +79,18 @@ def make_polynomial(sol: SpectralSolution, k: int, branch: Branch = Branch.PLUS)
                           float(sol.eigenvalues[k - 1]), sol.eigenvectors[k - 1].copy(), q)
 
 
+def harmonic_sum(freqs: np.ndarray, coeffs: np.ndarray, xi, branch: Branch):
+    """sum_r coeffs[r] exp(-i freqs[r] xi) at every xi, complex conjugated for
+    the minus branch. coeffs may carry a trailing axis of several vectors;
+    the result has shape xi.shape + coeffs.shape[1:]."""
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(xi, dtype=float), freqs))
+    val = phases @ coeffs
+    return np.conj(val) if branch is Branch.MINUS else val
+
+
 def evaluate(p: TrigPolynomial, xi):
     """Value of the polynomial at phase xi (scalar or array)."""
-    xi = np.asarray(xi, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(xi, p.xi_frequencies))
-    val = phases @ p.coeffs
-    if p.branch is Branch.MINUS:
-        val = np.conj(val)
+    val = harmonic_sum(p.xi_frequencies, p.coeffs, xi, p.branch)
     return val if val.shape else complex(val)
 
 
@@ -92,33 +102,36 @@ def derivative(p: TrigPolynomial, order: int = 1):
     dcoeffs = p.coeffs * (-1j * freqs) ** order
 
     def dval(xi):
-        xi = np.asarray(xi, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(xi, freqs))
-        val = phases @ dcoeffs
-        if p.branch is Branch.MINUS:
-            val = np.conj(val)
+        val = harmonic_sum(freqs, dcoeffs, xi, p.branch)
         return val if val.shape else complex(val)
 
     return dval
 
 
-def _z_values(p: TrigPolynomial, z, order: int):
-    """(d/dz)^order of the polynomial as a function of z = xi/2."""
+def governing_residual(freqs: np.ndarray, q: int, a: float, coeffs: np.ndarray,
+                       etas: np.ndarray, z, branch: Branch):
+    """Left-hand side of the governing equation and the values f at z for the
+    columns of a (dim, k) coefficient block, column j taken with eigenvalue
+    etas[j]. Both results have shape z.shape + (k,).
+
+    f, df/dz and d2f/dz2 come from one phase matrix at xi = 2z, since
+    d/dz multiplies harmonic r by -2i m_r.
+    """
     z = np.asarray(z, dtype=float)
-    wz = 2.0 * p.xi_frequencies  # f = sum D_r exp(-i w_r z)
-    coeffs = p.coeffs * (-1j * wz) ** order
-    val = np.exp(-1j * np.multiply.outer(z, wz)) @ coeffs
-    return np.conj(val) if p.branch is Branch.MINUS else val
+    dz = (-2j * freqs)[:, None]
+    vals = harmonic_sum(freqs, np.hstack([coeffs, coeffs * dz, coeffs * dz**2]), 2 * z, branch)
+    f, f1, f2 = np.split(vals, 3, axis=-1)
+    s = 1.0 if branch is Branch.PLUS else -1.0
+    sin2z = np.sin(2 * z)[..., None]
+    cos2z = np.cos(2 * z)[..., None]
+    lhs = f2 + a * sin2z * (f1 + 1j * s * f) + (etas - q * a * cos2z) * f
+    return lhs, f
 
 
 def ode_residual(p: TrigPolynomial, z):
     """Left-hand side of the governing equation at z (zero for true eigenpairs)."""
-    z = np.asarray(z, dtype=float)
-    f = _z_values(p, z, 0)
-    f1 = _z_values(p, z, 1)
-    f2 = _z_values(p, z, 2)
-    s = 1.0 if p.branch is Branch.PLUS else -1.0
-    res = f2 + p.a * np.sin(2 * z) * (f1 + 1j * s * f) + (p.eta - p.q * p.a * np.cos(2 * z)) * f
+    res = governing_residual(p.xi_frequencies, p.q, p.a, p.coeffs[:, None],
+                             np.array([p.eta]), z, p.branch)[0][..., 0]
     return res if res.shape else complex(res)
 
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from importlib import resources
 
+import incewave
 from incewave.cli import main
 
 
@@ -222,6 +227,29 @@ def test_verify_corruption_exit1(tmp_path, capsys):
     assert "ode_residual" in capsys.readouterr().err
     doc = json.loads(out.read_text())
     assert doc["data"]["passed"] is False
+
+
+@pytest.mark.parametrize("label", ["0", "7", "99", "-1"])
+def test_verify_corruption_label_out_of_range_exit2(tmp_path, capsys, label):
+    out = tmp_path / "v.json"
+    code = run(tmp_path, "verify", "--parity", "even", "--n", "3", "--a", "1",
+               "--corrupt-eta", label, "--out", str(out))
+    assert code == 2
+    assert "outside 1..6" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; loading it would add to every CLI
+    # process's start-up time
+    code = ("import sys, incewave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(incewave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_seventeen_digit_serialization(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from incewave.eigensolver import Tier, eigen_decompose
 from incewave.errors import InvalidArgumentError, InvalidPairingError
 from incewave.ince_matrix import Parity, build_even_matrix, build_odd_matrix
-from incewave.polynomials import Branch, TrigPolynomial, make_polynomial
+from incewave.polynomials import (Branch, TrigPolynomial, evaluate, governing_residual,
+                                  make_polynomial, ode_residual)
 from incewave.verify import (gram_matrices, normalization_check,
                              oracle_eigenvalues, verification_report,
                              weighted_inner_product)
@@ -126,3 +127,39 @@ def test_report_corruption_trips_ode_residual():
     assert not rep["passed"]
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert failing == ["ode_residual"]
+
+
+@pytest.mark.parametrize("label", [1, 6])
+def test_report_corruption_of_end_labels_trips_ode_residual(label):
+    rep = verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE, corrupt_eta_label=label)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["ode_residual"]
+
+
+@pytest.mark.parametrize("label", [0, 7, 99, -1])
+def test_report_rejects_corruption_label_outside_range(label):
+    with pytest.raises(InvalidArgumentError):
+        verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE, corrupt_eta_label=label)
+
+
+@pytest.mark.parametrize("builder", [build_even_matrix, build_odd_matrix])
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+def test_block_residual_and_gram_match_single_polynomials(builder, branch):
+    # the block paths of the check suite agree with one polynomial at a time
+    sol = eigen_decompose(builder(15, 12.0))
+    zs = np.arange(64) * (2.0 * np.pi / 64)
+    p1 = make_polynomial(sol, 1, branch)
+    lhs, f = governing_residual(p1.xi_frequencies, p1.q, sol.a, sol.eigenvectors.T,
+                                sol.eigenvalues, zs, branch)
+    assert lhs.shape == f.shape == (zs.size, sol.dim)
+    for k in range(1, sol.dim + 1):
+        p = make_polynomial(sol, k, branch)
+        single_f = evaluate(p, 2 * zs)
+        scale = (abs(p.eta) + 2 * p.n * p.a) * np.max(np.abs(single_f))
+        np.testing.assert_allclose(lhs[:, k - 1], ode_residual(p, zs), rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(f[:, k - 1], single_f, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(single_f)))
+    gq, _ = gram_matrices(sol, branch)
+    for k, l in [(1, 1), (1, 2), (5, 17), (14, 15), (30, 3)]:
+        want = weighted_inner_product(make_polynomial(sol, k, branch),
+                                      make_polynomial(sol, l, branch)).quadrature_value
+        assert abs(gq[k - 1, l - 1] - want) <= 1e-12 * np.max(np.abs(np.diag(gq)))
