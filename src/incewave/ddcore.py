@@ -2,9 +2,10 @@
 
 A double-double value is an unevaluated sum hi + lo of two float64 arrays with
 |lo| <= 0.5 ulp(hi), giving ~32 significant decimal digits. Only the handful of
-operations needed for compensated Sturm-sequence bisection are provided: exact
-products via Dekker splitting (no FMA requirement), addition/subtraction with
-error renormalization, and exact scaling by powers of two.
+operations needed for the extended tier's compensated minor recurrence are
+provided: exact products via Dekker splitting (no FMA requirement),
+addition/subtraction with error renormalization, and exact scaling by powers
+of two.
 
 All functions broadcast like numpy and accept plain floats anywhere.
 """

@@ -2,14 +2,21 @@
 
 Both tiers start from one LAPACK call: numpy.linalg.eigh on the dense
 symmetrized matrix gives all float64 eigenvalues, which are the double-tier
-values, and starting vectors. The extended tier refines each value by
-bisection on Sturm sequences in double-double arithmetic: the number of
-eigenvalues below a shift equals the number of sign changes along the
-leading-principal-minor recurrence, which only involves the super*sub
-products and therefore works directly on the unsymmetric matrix. The
-compensated recurrence resolves eigenvalue pairs splitting around the 12th
-significant digit, below one ulp of the values themselves. sturm_count
-counts sign changes along the float64 minors of ince_matrix.scaled_minors.
+values, and starting vectors. The extended tier refines each value in
+double-double arithmetic on the leading-principal-minor recurrence, which
+only involves the super*sub products and therefore works directly on the
+unsymmetric matrix. The number of eigenvalues below a shift equals the
+number of sign changes along it (the Sturm count), and the same pass carries
+the characteristic polynomial with its first two derivatives. Each LAPACK
+value is bracketed at 64 ulps of the spectral scale, the brackets are
+confirmed by Sturm counts, and steps to the root of a local quadratic model
+of the polynomial finish the value in a few passes while the counts tighten
+the brackets. Every result is certified by Sturm counts 1e-26 of the scale
+to either side of it; bisection on the counts takes over for any label that
+is not. The compensated recurrence resolves eigenvalue pairs splitting
+around the 12th significant digit, below one ulp of the values themselves.
+sturm_count counts sign changes along the float64 minors of
+ince_matrix.scaled_minors.
 
 Eigenvectors come from two sweeps of inverse iteration on the symmetrized
 matrix at the final shifts, all eigenvalues solved at once and each
@@ -122,32 +129,52 @@ _SMALL = 1e-200
 _DOWN = 2.0**-600
 _UP = 2.0**600
 
+# Half-width of the extended tier's seed brackets around the LAPACK values,
+# and the width its results are certified to, both relative to the spectral
+# scale max(1, max|eta|).
+_SEED_PAD = 64 * _EPS
+_TARGET = 1e-26
+# Newton-type passes of _refine_dd before a label is handed to bisection;
+# the quadratic model needs at most 6 on the sweeps in the tests, usually 2-3.
+_NEWTON_PASSES = 32
 
-def _count_dd(diag, g_dd, xh, xl):
+
+def _count_dd(diag, g_dd, xh, xl, derivs=False):
+    """Sturm counts at the double-double shifts xh + xl, from one pass of the
+    minor recurrence in double-double arithmetic. With derivs it returns
+    (counts, ph, pl) instead: ph + pl is the (3, k) stack of the last minor
+    p = det(T - x), p' and p''/2, all three scaled by the same power of two.
+    They follow the recurrence of the minors, differentiated:
+    P_j = (d_j - x) P_{j-1} - g_{j-1} P_{j-2} - (0, p_{j-1}, p'_{j-1})."""
     xh = np.atleast_1d(np.asarray(xh, dtype=float))
-    xl = np.atleast_1d(np.asarray(xl, dtype=float))
+    xl = np.broadcast_to(np.asarray(xl, dtype=float), xh.shape)
     gh, gl = g_dd
+    th, tl = ddc.dd_add(diag[:, None], 0.0, -xh, -xl)
+    p2h = np.zeros((3 if derivs else 1,) + xh.shape)
+    p2l, p1h, p1l = np.zeros_like(p2h), np.zeros_like(p2h), np.zeros_like(p2h)
+    p2h[0], p1h[0], p1l[0] = 1.0, th[0], tl[0]
+    if derivs:
+        p1h[1] = -1.0
     cnt = np.zeros(xh.shape, dtype=np.int64)
     sprev = np.ones(xh.shape)
-    p2h, p2l = np.ones_like(xh), np.zeros_like(xh)
-    p1h, p1l = ddc.dd_add(diag[0], 0.0, -xh, -xl)
     for j in range(len(diag)):
         if j > 0:
-            th, tl = ddc.dd_add(diag[j], 0.0, -xh, -xl)
-            ah, al = ddc.dd_mul(th, tl, p1h, p1l)
+            ah, al = ddc.dd_mul(th[j], tl[j], p1h, p1l)
             bh, bl = ddc.dd_mul(gh[j - 1], gl[j - 1], p2h, p2l)
             ph, pl = ddc.dd_sub(ah, al, bh, bl)
+            if derivs:
+                ph[1:], pl[1:] = ddc.dd_sub(ph[1:], pl[1:], p1h[:-1], p1l[:-1])
             p2h, p2l, p1h, p1l = p1h, p1l, ph, pl
-            mx = np.maximum(np.abs(p1h), np.abs(p2h))
+            mx = np.max(np.maximum(np.abs(p1h), np.abs(p2h)), axis=0)
             f = np.where(mx > _BIG, _DOWN, 1.0)
             f = np.where((mx > 0) & (mx < _SMALL), _UP, f)
             p1h, p1l = p1h * f, p1l * f
             p2h, p2l = p2h * f, p2l * f
-        s = ddc.dd_sign(p1h, p1l)
+        s = ddc.dd_sign(p1h[0], p1l[0])
         s = np.where(s == 0, -sprev, s)
         cnt += s != sprev
         sprev = s
-    return cnt
+    return (cnt, p1h, p1l) if derivs else cnt
 
 
 def sturm_count(m: TridiagonalMatrix, eta: float) -> int:
@@ -173,48 +200,148 @@ def _gershgorin(m: TridiagonalMatrix) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _dd_problem(m: TridiagonalMatrix):
+    """(diag, g_dd, e): the matrix scaled by 2**-e, with 2**e just above
+    max(|diag|, sqrt(super*sub)), and its super*sub products as exact
+    double-double values. The scaling is exact and keeps the double-double
+    minors inside float range at extreme a, where the products g*p of the
+    unscaled recurrence overflow."""
+    size = max(float(np.max(np.abs(m.diag))), float(np.max(np.sqrt(m.super) * np.sqrt(m.sub))))
+    e = math.frexp(size)[1]
+    g_dd = ddc.two_prod(np.ldexp(m.super, -e), np.ldexp(m.sub, -e))
+    return np.ldexp(m.diag.astype(float), -e), g_dd, e
+
+
 def _bisect_dd(diag, g_dd, loh, lol, hih, hil, ks, target, max_iter=160):
+    """Bisection on double-double Sturm counts: the midpoints of the brackets
+    of eigenvalues number ks (ascending, 1-based) once every bracket is at
+    most target wide. Each bracket must hold count(lo) <= k-1 and
+    count(hi) >= k."""
+    width = (hih - loh) + (hil - lol)
     for _ in range(max_iter):
-        mh, ml = ddc.dd_add(loh, lol, hih, hil)
-        mh, ml = ddc.dd_scale_pow2(mh, ml, 0.5)
+        mh, ml = ddc.dd_scale_pow2(*ddc.dd_add(loh, lol, hih, hil), 0.5)
         take = _count_dd(diag, g_dd, mh, ml) >= ks
         hih = np.where(take, mh, hih)
         hil = np.where(take, ml, hil)
         loh = np.where(take, loh, mh)
         lol = np.where(take, lol, ml)
-        if np.all((hih - loh) + (hil - lol) <= target):
+        width = (hih - loh) + (hil - lol)
+        if np.all(width <= target):
+            return ddc.dd_scale_pow2(*ddc.dd_add(loh, lol, hih, hil), 0.5)
+    i = int(np.argmax(~(width <= target)))
+    raise NumericalFailureError(
+        f"double-double bisection for eigenvalue label k={len(diag) + 1 - int(ks[i])} "
+        f"stopped after {max_iter} iterations with bracket width {float(width[i])!r} "
+        f"above its target {float(target)!r}")
+
+
+def _model_step(ph, pl, gap):
+    """Step h from x to the root of the local model p + p'h + (p''/2)h**2
+    that stands for the wanted eigenvalue; ph + pl stacks (p, p', p''/2) at
+    x. gap = k-1 - count(x) places that eigenvalue: above x when gap >= 0,
+    with gap eigenvalues in between, else below x with -gap-1 in between.
+    With none in between the nearer model root on that side is taken, with
+    one the farther. A model without real roots steps to its centre. NaN
+    where the model has no such step."""
+    e = np.frexp(np.max(np.abs(ph), axis=0))[1]
+    ph, pl = np.ldexp(ph, -e), np.ldexp(pl, -e)
+    sq_h, sq_l = ddc.dd_mul(ph[1], pl[1], ph[1], pl[1])
+    pq_h, pq_l = ddc.dd_mul(ph[0], pl[0], ph[2], pl[2])
+    disc_h, disc_l = ddc.dd_sub(sq_h, sq_l, 4.0 * pq_h, 4.0 * pq_l)
+    p, dp, q = ph + pl
+    disc = disc_h + disc_l
+    side = np.where(gap >= 0, 1.0, -1.0)
+    between = np.where(gap >= 0, gap, -gap - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = -(dp + np.copysign(np.sqrt(disc), dp))
+        roots = side * np.stack([w / (2.0 * q), 2.0 * p / w])
+        roots = np.where(roots >= 0, roots, np.nan)
+        h = np.where(between == 0, np.fmin(roots[0], roots[1]),
+                     np.where(between == 1, np.maximum(roots[0], roots[1]), np.nan))
+        centre = -side * dp / (2.0 * q)
+        h = np.where(disc < 0, np.where(centre > 0, centre, np.nan), h)
+    return side * h
+
+
+def _dd_less(a, b):
+    """a < b for double-double values stacked as (hi, lo) along axis 0."""
+    return (a[0] < b[0]) | ((a[0] == b[0]) & (a[1] < b[1]))
+
+
+def _refine_dd(diag, g_dd, ks, x0, loh, hih, target):
+    """Eigenvalues number ks (ascending, 1-based) of the double-double problem
+    (diag, g_dd) as (hi, lo) arrays, each certified by Sturm counts to lie
+    within target of its count transition. The float64 brackets (loh, hih)
+    must hold count(lo) <= k-1 and count(hi) >= k, and contain x0.
+
+    Each pass evaluates the count, p, p' and p''/2 at the current point of
+    every unfinished label, tightens its bracket by the count, and takes the
+    quadratic model step (_model_step), or bisects where that step is
+    missing or leaves the bracket. Plain Newton converges only linearly on
+    pairs that split below the seeds' error; the model's second root keeps
+    them fast. A label finishes when its step or its bracket is at most
+    target. Labels that do not finish, or fail the count pass at x -+ target,
+    are bisected from their brackets."""
+    zero = np.zeros(ks.shape)
+    x, lo, hi = (np.array([v, zero], dtype=float) for v in (x0, loh, hih))
+    out = np.full((2, ks.size), np.nan)
+    act = np.arange(ks.size)
+    for _ in range(_NEWTON_PASSES):
+        if not act.size:
             break
-    mh, ml = ddc.dd_add(loh, lol, hih, hil)
-    return ddc.dd_scale_pow2(mh, ml, 0.5)
+        xa, k = x[:, act], ks[act]
+        cnt, ph, pl = _count_dd(diag, g_dd, *xa, derivs=True)
+        up = cnt >= k
+        hi[:, act] = np.where(up, xa, hi[:, act])
+        lo[:, act] = np.where(up, lo[:, act], xa)
+        mid = np.array(ddc.dd_scale_pow2(*ddc.dd_add(*lo[:, act], *hi[:, act]), 0.5))
+        h = _model_step(ph, pl, k - 1 - cnt)
+        step = np.array(ddc.dd_add(*xa, np.where(np.isfinite(h), h, 0.0), 0.0))
+        inside = np.isfinite(h) & _dd_less(lo[:, act], step) & _dd_less(step, hi[:, act])
+        x[:, act] = np.where(inside, step, mid)
+        stepped = np.abs(h) <= target
+        done = stepped | ((hi[0, act] - lo[0, act]) + (hi[1, act] - lo[1, act]) <= target)
+        out[:, act[done]] = np.where(stepped, step, mid)[:, done]
+        act = act[~done]
+    fin = np.flatnonzero(np.isfinite(out[0]))
+    cnt = _count_dd(diag, g_dd, *ddc.dd_add(*np.tile(out[:, fin], 2),
+                                           np.repeat([-target, target], fin.size), 0.0))
+    good = (cnt[:fin.size] <= ks[fin] - 1) & (cnt[fin.size:] >= ks[fin])
+    redo = np.union1d(act, fin[~good])
+    if redo.size:
+        out[:, redo] = _bisect_dd(diag, g_dd, *lo[:, redo], *hi[:, redo], ks[redo], target)
+    return out[0], out[1]
 
 
-def _eigenvalues_dd(m: TridiagonalMatrix, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extended-tier eigenvalues (ascending), seeded from float64 estimates."""
-    dim = m.dim
-    ks = np.arange(1, dim + 1)
-    g_dd = ddc.two_prod(m.super, m.sub)
+def _eigenvalues_dd(m: TridiagonalMatrix, seeds: np.ndarray,
+                    idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Extended-tier eigenvalues at the ascending indices idx (all by
+    default), seeded from the ascending float64 estimates seeds.
+
+    Each seed is bracketed at +-64 ulps of the spectral scale; one count pass
+    over both ends confirms the brackets, and an end that fails (float64
+    rounding bias) falls back to the Gershgorin interval."""
+    idx = np.arange(m.dim) if idx is None else np.asarray(idx)
+    ks = idx + 1
+    diag, g_dd, e = _dd_problem(m)
     scale = max(1.0, float(np.max(np.abs(seeds))))
-    pad = max(1e-10, 1e-11 * scale)
-    loh, lol = ddc.dd(seeds - pad)
-    hih, hil = ddc.dd(seeds + pad)
-    # seed brackets must satisfy count(lo_k) <= k-1 and count(hi_k) >= k; any
-    # violation (float64 rounding bias) falls back to the global interval
-    glo, ghi = _gershgorin(m)
-    bad_lo = _count_dd(m.diag, g_dd, loh, lol) > ks - 1
-    bad_hi = _count_dd(m.diag, g_dd, hih, hil) < ks
-    loh = np.where(bad_lo, glo, loh)
-    lol = np.where(bad_lo, 0.0, lol)
-    hih = np.where(bad_hi, ghi, hih)
-    hil = np.where(bad_hi, 0.0, hil)
-    eh, el = _bisect_dd(m.diag, g_dd, loh, lol, hih, hil, ks, 1e-26 * scale)
+    x0 = np.ldexp(seeds[idx], -e)
+    pad = math.ldexp(_SEED_PAD * scale, -e)
+    loh, hih = x0 - pad, x0 + pad
+    cnt = _count_dd(diag, g_dd, np.concatenate([loh, hih]), 0.0)
+    glo, ghi = (math.ldexp(b, -e) for b in _gershgorin(m))
+    loh = np.where(cnt[:idx.size] > ks - 1, glo, loh)
+    hih = np.where(cnt[idx.size:] < ks, ghi, hih)
+    eh, el = _refine_dd(diag, g_dd, ks, x0, loh, hih, math.ldexp(_TARGET * scale, -e))
+    eh, el = np.ldexp(eh, e), np.ldexp(el, e)
     # a refined value far outside its seed bracket means the compensated
-    # recurrence broke down (e.g. overflow at extreme a)
-    stray = np.abs((eh + el) - seeds) > 1e-8 * scale
+    # recurrence broke down
+    stray = np.abs((eh + el) - seeds[idx]) > 1e-8 * scale
     if np.any(stray):
         i = int(np.argmax(stray))
         raise NumericalFailureError(
-            f"double-double refinement moved eigenvalue label k={dim - i} "
-            f"from {float(seeds[i])!r} to {float(eh[i] + el[i])!r}")
+            f"double-double refinement moved eigenvalue label k={m.dim - int(idx[i])} "
+            f"from {float(seeds[idx[i]])!r} to {float(eh[i] + el[i])!r}")
     return eh, el
 
 
@@ -430,8 +557,11 @@ def refine_eigenvalue(m: TridiagonalMatrix, eta0: float,
     """Extended-tier refinement of the eigenvalue nearest eta0.
 
     With an explicit bracket the interval must isolate exactly one eigenvalue
-    by Sturm count, otherwise InvalidBracketError is raised. Bisection runs in
-    compensated arithmetic to a bracket width far below 1e-14 * max(1, |eta|).
+    by Sturm count, otherwise InvalidBracketError is raised, and that
+    eigenvalue is the one refined. The refinement is the extended tier's: a
+    few quadratic-model steps in compensated arithmetic from the LAPACK value,
+    certified by Sturm counts to 1e-26 * max(1, max|eta|), with bisection as
+    the fallback.
     """
     eh, el = refine_eigenvalue_dd(m, eta0, bracket)
     return eh + el
@@ -447,27 +577,23 @@ def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
         return float(m.diag[0]), 0.0
     if m.a == 0:
         return float(m.diag[np.argmin(np.abs(m.diag - eta0))]), 0.0
+    asc = _lapack_eigh(m, symmetrize(m)[0])[0]
     if bracket is None:
-        asc = _lapack_eigh(m, symmetrize(m)[0])[0]
-        idx = int(np.argmin(np.abs(asc - eta0)))
-        eh, el = _eigenvalues_dd(m, asc)
-        return float(eh[idx]), float(el[idx])
-    g_dd = ddc.two_prod(m.super, m.sub)
+        eh, el = _eigenvalues_dd(m, asc, [int(np.argmin(np.abs(asc - eta0)))])
+        return float(eh[0]), float(el[0])
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
-    nlo = int(_count_dd(m.diag, g_dd, lo, 0.0)[0])
-    nhi = int(_count_dd(m.diag, g_dd, hi, 0.0)[0])
+    diag, g_dd, e = _dd_problem(m)
+    nlo, nhi = _count_dd(diag, g_dd, [math.ldexp(lo, -e), math.ldexp(hi, -e)], 0.0)
     if nhi - nlo != 1:
         raise InvalidBracketError(
             f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1"
         )
-    ks = np.array([nlo + 1])
-    loh, lol = ddc.dd(np.array([lo]))
-    hih, hil = ddc.dd(np.array([hi]))
-    scale = max(1.0, abs(eta0))
-    eh, el = _bisect_dd(m.diag, g_dd, loh, lol, hih, hil, ks, 1e-26 * scale)
-    return float(eh[0]), float(el[0])
+    scale = max(1.0, float(np.max(np.abs(asc))))
+    eh, el = _refine_dd(diag, g_dd, np.array([nlo + 1]), np.ldexp([min(max(asc[nlo], lo), hi)], -e),
+                        np.ldexp([lo], -e), np.ldexp([hi], -e), math.ldexp(_TARGET * scale, -e))
+    return math.ldexp(float(eh[0]), e), math.ldexp(float(el[0]), e)
 
 
 def eigenvector_for(m: TridiagonalMatrix, eta: float) -> np.ndarray:

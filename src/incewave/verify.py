@@ -2,8 +2,8 @@
 
 Two ingredients: the weighted bilinear inner product (quadrature and
 Bessel-closed-form routes, compared but never silently merged) and a
-characteristic-polynomial root finder kept independent of the main Sturm
-bisection path.
+characteristic-polynomial root finder kept independent of the main
+eigensolver's Sturm-count path.
 
 The weighted pairing is bilinear, not conjugated: for same-branch solutions
 f_k, f_l of the governing equation, multiplying by w(xi) = exp(-(a/2) cos xi)

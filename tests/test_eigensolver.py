@@ -6,6 +6,7 @@ bisection path under test).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from incewave import ddcore as ddc
+from incewave import eigensolver as es
 from incewave.eigensolver import (Tier, eigen_decompose, eigenvector_for,
-                                  refine_eigenvalue, sturm_count, symmetrize)
-from incewave.errors import InvalidArgumentError, InvalidBracketError
+                                  refine_eigenvalue, refine_eigenvalue_dd, sturm_count,
+                                  symmetrize)
+from incewave.errors import InvalidArgumentError, InvalidBracketError, NumericalFailureError
 from incewave.ince_matrix import build_even_matrix, build_odd_matrix
 
 # 60-digit reference values, even family n=15, a=12, descending order
@@ -384,3 +388,88 @@ def test_pair_member_assignment(sol_n15_extended):
         h_own, l_own = sol.eigenvalue_dd(k)
         h_oth, l_oth = sol.eigenvalue_dd(9 - k)
         assert abs(rho - (h_own + l_own)) < 1e-4 * abs(rho - (h_oth + l_oth))
+
+
+@given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 3.0))
+@settings(max_examples=16, deadline=None)
+def test_extended_values_certified_and_match_bisection(parity, n, log_a):
+    # every extended value must sit at a count transition of the
+    # double-double Sturm sequence, count(x - target) <= k-1 < k <=
+    # count(x + target), and within target of plain bisection from the same
+    # seed brackets; both in the solver's power-of-two scaled units
+    m = build_even_matrix(n, 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
+    seeds = es._lapack_eigh(m, symmetrize(m)[0])[0]
+    with mock.patch.object(es, "_refine_dd", wraps=es._refine_dd) as spy:
+        eh, el = es._eigenvalues_dd(m, seeds)
+    diag, g_dd, ks, _, loh, hih, target = spy.call_args.args
+    e = es._dd_problem(m)[2]
+    assert target == math.ldexp(1e-26 * max(1.0, float(np.max(np.abs(seeds)))), -e)
+    xh, xl = np.ldexp(eh, -e), np.ldexp(el, -e)
+    assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, -target, 0.0)) <= ks - 1)
+    assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, target, 0.0)) >= ks)
+    zero = np.zeros(ks.shape)
+    bh, bl = es._bisect_dd(diag, g_dd, loh, zero, hih, zero, ks, target)
+    assert np.all(np.abs((xh - bh) + (xl - bl)) <= target)
+
+
+@pytest.mark.parametrize("builder", [build_even_matrix, build_odd_matrix])
+def test_extended_bisection_fallback_gives_same_values(monkeypatch, builder):
+    # with no model step every pass bisects, the labels run out of Newton
+    # passes and finish in _bisect_dd; the values stay within the target
+    m = builder(15, 12.0)
+    newton = eigen_decompose(m, Tier.EXTENDED)
+    monkeypatch.setattr(es, "_model_step", lambda ph, pl, gap: np.full(gap.shape, np.nan))
+    with mock.patch.object(es, "_bisect_dd", wraps=es._bisect_dd) as spy:
+        bisected = eigen_decompose(m, Tier.EXTENDED)
+    assert spy.call_count == 1 and spy.call_args.args[6].size == m.dim
+    diff = ((bisected.eigenvalues - newton.eigenvalues)
+            + (bisected.eigenvalues_lo - newton.eigenvalues_lo))
+    assert np.max(np.abs(diff)) <= 1e-26 * np.max(np.abs(newton.eigenvalues))
+
+
+@pytest.mark.parametrize("builder,n,a", [(build_even_matrix, 20, 0.5), (build_odd_matrix, 30, 12.0),
+                                         (build_even_matrix, 15, 12.0)])
+def test_extended_pairs_below_seed_error_take_few_passes(builder, n, a):
+    # these spectra hold pairs that split below the error of their LAPACK
+    # seeds; plain Newton converges only linearly on them (35-42 passes), the
+    # quadratic model in a few
+    m = builder(n, a)
+    with mock.patch.object(es, "_count_dd", wraps=es._count_dd) as count, \
+            mock.patch.object(es, "_bisect_dd", wraps=es._bisect_dd) as bisect:
+        eigen_decompose(m, Tier.EXTENDED)
+    assert sum(bool(c.kwargs.get("derivs")) for c in count.call_args_list) <= 6
+    assert bisect.call_count == 0
+
+
+def test_bisection_raises_when_out_of_iterations():
+    m = build_even_matrix(15, 12.0)
+    diag, g_dd, e = es._dd_problem(m)
+    lo, hi = (np.array([math.ldexp(b, -e)]) for b in es._gershgorin(m))
+    with pytest.raises(NumericalFailureError, match=r"label k=26 .* bracket width"):
+        es._bisect_dd(diag, g_dd, lo, np.zeros(1), hi, np.zeros(1), np.array([5]), 1e-26,
+                      max_iter=5)
+
+
+@pytest.mark.parametrize("builder,n,a", [(build_odd_matrix, 30, 1e100),
+                                         (build_even_matrix, 5, 1e150)])
+def test_extended_tier_at_extreme_a(builder, n, a):
+    # unscaled, the double-double products g*p overflow here: the odd case
+    # failed the residual check at k=31, the even one a stray-value check
+    m = builder(n, a)
+    ext = eigen_decompose(m, Tier.EXTENDED)
+    dbl = eigen_decompose(m)
+    scale = float(np.max(np.abs(dbl.eigenvalues)))
+    np.testing.assert_allclose(ext.eigenvalues, dbl.eigenvalues, rtol=0, atol=1e-14 * scale)
+
+
+def test_refine_with_and_without_bracket_agree(sol_n15_extended):
+    # both paths run one refinement from the same LAPACK seed and tolerance;
+    # an isolating bracket must not change a single bit
+    m = build_even_matrix(15, 12.0)
+    seeds = eigen_decompose(m).eigenvalues
+    v = sol_n15_extended.eigenvalues
+    edges = np.concatenate([[v[0] + 1.0], 0.5 * (v[:-1] + v[1:]), [v[-1] - 1.0]])
+    for k in range(1, m.dim + 1):
+        free = refine_eigenvalue_dd(m, seeds[k - 1])
+        assert refine_eigenvalue_dd(m, seeds[k - 1], bracket=(edges[k], edges[k - 1])) == free
+        assert free == sol_n15_extended.eigenvalue_dd(k), f"k={k}"
