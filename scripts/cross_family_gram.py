@@ -37,7 +37,7 @@ def run(n1: int, n2: int, a: float) -> None:
     within = 2 * np.pi * (d1 @ kern @ d1.T)
     scale = np.max(np.abs(np.diag(within)))
     print(f"even families n={n1} vs n={n2}, a={a}")
-    print(f"largest within-family diagonal: {scale:.6g}")
+    print(f"largest within-family diagonal, scaled by e^(-a/2): {scale:.6g}")
     print(f"largest within-family off-diagonal: "
           f"{np.max(np.abs(within - np.diag(np.diag(within)))):.3e}")
     print(f"largest cross-family entry: {np.max(np.abs(cross)):.6g} "

@@ -1,10 +1,12 @@
 """Modified Bessel functions of the first kind, I_l(x), for x >= 0.
 
-Small arguments (x <= 15) use the ascending power series; larger arguments
-use Miller's backward recurrence normalized with the sum identity
-e^x = I_0(x) + 2 * sum_{m>=1} I_m(x). Relative accuracy is ~1e-13 or better
-across the supported range (validated against independent references in the
-test suite). Negative orders fold through I_{-l} = I_l.
+One backward pass gives e^(-x) I_l(x) for every order l = 0..lmax at once.
+The ratios q_m = I_m / I_{m-1} = x / (2m + x q_{m+1}), started at q = 0 from
+order lmax + 20 + ceil(12 sqrt(x)), are all at most 1, and the sum identity
+e^x = I_0 + 2 sum_{m>=1} I_m normalizes them without overflow:
+e^(-x) I_0 = 1 / (1 + 2 sum_m q_1...q_m). Relative accuracy is ~2e-13 or
+better for x up to 1e7 (checked against scipy in the test suite). Negative
+orders fold through I_{-l} = I_l.
 """
 
 from __future__ import annotations
@@ -15,81 +17,43 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-_SERIES_CUTOFF = 15.0
+# Largest argument: the pass takes ~12 sqrt(x) steps, 0.3 s at 1e10.
+_X_MAX = 1e10
 
 
-def _series(l: int, x: float) -> float:
-    # sum_m (x/2)^(2m+l) / (m! (m+l)!), term-ratio recurrence
-    half = 0.5 * x
-    try:
-        term = half**l / math.factorial(l)
-    except OverflowError:
-        return 0.0
-    if term == 0.0:
-        return 0.0
-    total = term
-    m = 1
-    while m < 400:
-        term *= half * half / (m * (m + l))
-        total += term
-        if term < 1e-18 * total:
-            break
-        m += 1
-    return total
-
-
-def _miller(l: int, x: float) -> float:
-    # backward recurrence I_{m-1} = I_{m+1} + (2m/x) I_m from a start order
-    # far enough above max(l, x) that the seed error decays away
-    start = max(l, int(x)) + 40 + int(2.0 * math.sqrt(max(l, x)))
-    if start % 2 == 1:
-        start += 1
-    ip1 = 0.0
-    im = 1e-300
-    target = 0.0
-    acc = 0.0  # I_0 + 2*sum I_m accumulated on the fly
+def scaled_bessel_i_table(lmax: int, x: float) -> np.ndarray:
+    """e^(-x) I_l(x) for l = 0..lmax, from one backward ratio recurrence."""
+    x = float(x)
+    if not 0 <= x <= _X_MAX:
+        raise InvalidArgumentError(f"modified Bessel I_l requires 0 <= x <= {_X_MAX:g}, got {x}")
+    start = int(lmax) + 20 + math.ceil(12.0 * math.sqrt(x))
+    q = np.empty(start)
+    qm = 0.0
     for m in range(start, 0, -1):
-        im1 = ip1 + (2.0 * m / x) * im
-        if m - 1 == l:
-            target = im1
-        acc += 2.0 * im if m != 0 else 0.0
-        ip1, im = im, im1
-        if abs(im) > 1e250:
-            im *= 1e-250
-            ip1 *= 1e-250
-            target *= 1e-250
-            acc *= 1e-250
-    acc += im  # im now holds the unnormalized I_0
-    if l == 0:
-        target = im
-    # normalize: acc == e^x up to the common scale factor
-    log_scale = x - math.log(acc)
-    if target == 0.0:
-        return 0.0
-    return math.exp(log_scale + math.log(abs(target))) * math.copysign(1.0, target)
+        qm = x / (2.0 * m + x * qm)
+        q[m - 1] = qm
+    ratios = np.cumprod(q)  # I_l / I_0 for l = 1..start
+    i0 = 1.0 / (1.0 + 2.0 * float(np.sum(ratios)))
+    return i0 * np.concatenate(([1.0], ratios[:lmax]))
 
 
 def modified_bessel_i(l: int, x: float) -> float:
-    """I_l(x) for real x >= 0 and integer order l (negative l folds to |l|)."""
-    if x < 0:
-        raise InvalidArgumentError(f"modified_bessel_i requires x >= 0, got {x}")
+    """I_l(x) for real 0 <= x <= 1e10 and integer order l (negative l folds
+    to |l|); OverflowError once e^x leaves float range (x > ~709.78)."""
     l = abs(int(l))
-    x = float(x)
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _series(l, x)
-    return _miller(l, x)
+    return float(scaled_bessel_i_table(l, x)[l]) * math.exp(x)
 
 
 def bilinear_weight_kernel(row_indices, sigma: int, a: float):
-    """Gram kernel of the weighted bilinear pairing in coefficient space:
+    """Gram kernel of the weighted bilinear pairing in coefficient space,
+    scaled by e^(-a/2): e^(-a/2) W with
     W[i, j] = (-1)**(r_i + r_j + sigma) * I_{|r_i + r_j + sigma|}(a/2), where
-    sigma is 0 for integer harmonics and 1 for half-integer ones. This is the
+    sigma is 0 for integer harmonics and 1 for half-integer ones. W is the
     Fourier image of the weight exp(-(a/2) cos xi) on products of same-branch
-    harmonics."""
+    harmonics, so the scaled kernel is that of exp(-(a/2)(cos xi + 1)) and
+    cannot overflow."""
     rs = np.asarray(row_indices, dtype=int)
     msum = rs[:, None] + rs[None, :] + int(sigma)
     orders = np.abs(msum)
-    table = np.array([modified_bessel_i(o, a / 2.0) for o in range(int(orders.max()) + 1)])
+    table = scaled_bessel_i_table(int(orders.max()), a / 2.0)
     return np.where(msum % 2 == 0, 1.0, -1.0) * table[orders]

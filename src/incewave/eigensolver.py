@@ -20,12 +20,14 @@ ince_matrix.scaled_minors.
 
 Eigenvectors come from two sweeps of inverse iteration on the symmetrized
 matrix at the final shifts, all eigenvalues solved at once and each
-near-degenerate cluster re-orthonormalized after every sweep, then mapped
-back through the diagonal similarity scaling. Each cluster is then rotated to
-diagonalize the weighted bilinear Gram form, which recovers the physically
-correct pair members even when the eigenvalue splitting is below arithmetic
-resolution; members are matched to eigenvalues through a compensated
-Rayleigh quotient.
+near-degenerate cluster re-orthonormalized after every sweep. Each cluster is
+then rotated, still in the symmetric basis, where the true vectors are
+orthonormal (in coefficient space a pair's overlap by ~0.5), to diagonalize
+the weighted bilinear Gram form of its coefficient vectors. That recovers the
+correct pair members even when the splitting is below arithmetic resolution;
+members are matched to eigenvalues by the compensated two-sided Rayleigh
+quotient, compared as (hi, lo) pairs. The vectors are then mapped back
+through the diagonal similarity scaling, D = v / d.
 """
 
 from __future__ import annotations
@@ -416,13 +418,6 @@ def _inverse_sweeps(dsym, c, mu, v, clusters):
     return v
 
 
-def _bilinear_weight(m: TridiagonalMatrix) -> np.ndarray:
-    """Gram kernel of the weighted bilinear inner product in coefficient
-    space (see verify.weighted_inner_product)."""
-    sigma = 0 if m.parity is Parity.EVEN else 1
-    return bilinear_weight_kernel(m.row_indices, sigma, m.a)
-
-
 def _cluster_slices(vals_desc: np.ndarray) -> list[slice]:
     scale = max(1.0, float(np.max(np.abs(vals_desc))))
     out = []
@@ -446,21 +441,23 @@ def _dd_sum(h, l):
     return h[0], l[0]
 
 
-def _rayleigh_dd(m: TridiagonalMatrix, v: np.ndarray) -> np.ndarray:
-    """Compensated Rayleigh quotients (v . M v) / (v . v) of the columns of a
-    (dim, k) block v, or of a single vector v (a 0-d result)."""
-    v = np.asarray(v, dtype=float)
-    blk = v.reshape(m.dim, -1)
+def _rayleigh_dd(m: TridiagonalMatrix, right: np.ndarray, left: np.ndarray | None = None):
+    """Compensated quotients (left . M right) / (left . right), left = right
+    by default, of the columns of (dim, k) blocks or of single vectors (0-d
+    results), as a (hi, lo) pair."""
+    right = np.asarray(right, dtype=float)
+    blk = right.reshape(m.dim, -1)
+    lblk = blk if left is None else np.asarray(left, dtype=float).reshape(blk.shape)
     th, tl = ddc.two_prod(m.diag.astype(float)[:, None], blk)
     if m.dim > 1:
         ph, pl = ddc.two_prod(m.super[:, None], blk[1:])
         th[:-1], tl[:-1] = ddc.dd_add(th[:-1], tl[:-1], ph, pl)
         ph, pl = ddc.two_prod(m.sub[:, None], blk[:-1])
         th[1:], tl[1:] = ddc.dd_add(th[1:], tl[1:], ph, pl)
-    numh, numl = _dd_sum(*ddc.dd_mul(th, tl, blk, 0.0))
-    denh, denl = _dd_sum(*ddc.two_prod(blk, blk))
+    numh, numl = _dd_sum(*ddc.dd_mul(th, tl, lblk, 0.0))
+    denh, denl = _dd_sum(*ddc.two_prod(lblk, blk))
     qh, ql = ddc.dd_div(numh, numl, denh, denl)
-    return (qh + ql).reshape(v.shape[1:])
+    return qh.reshape(right.shape[1:]), ql.reshape(right.shape[1:])
 
 
 def _fix_signs(vecs_rows: np.ndarray) -> np.ndarray:
@@ -471,26 +468,31 @@ def _fix_signs(vecs_rows: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -vecs_rows, vecs_rows)
 
 
-def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], vecs_rows):
-    """Diagonalize the bilinear Gram form within every near-degenerate
-    cluster and order members by descending Rayleigh quotient."""
-    out = vecs_rows.copy()
+def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+    """Rotate the orthonormal columns v of the symmetrized matrix within every
+    near-degenerate cluster to diagonalize the bilinear Gram form of the
+    coefficient vectors v / d, and order each cluster's members by descending
+    compensated quotient (d v) . M (v / d) / ((d v) . (v / d))."""
     clusters = [sl for sl in clusters if sl.stop - sl.start > 1]
     if not clusters:
-        return out
-    weight = _bilinear_weight(m)
+        return v
+    v = v.copy()
+    weight = bilinear_weight_kernel(m.row_indices, int(m.parity is Parity.ODD), m.a)
     for sl in clusters:
-        block = out[sl].T
-        gram = block.T @ weight @ block
-        gram = 0.5 * (gram + gram.T)
-        block = block @ np.linalg.eigh(gram)[1]
-        out[sl] = (block / np.sqrt(np.sum(block**2, axis=0))).T
-    rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in clusters])
-    quot = np.empty(out.shape[0])
-    quot[rows] = _rayleigh_dd(m, out[rows].T)
+        u = v[:, sl] / d[:, None]
+        gram = u.T @ weight @ u
+        if not np.all(np.isfinite(gram)):
+            raise NumericalFailureError(
+                f"cluster rotation for labels k={sl.start + 1}..{sl.stop}: Gram form not "
+                f"finite (smallest scale factor {float(np.min(d))!r})")
+        v[:, sl] = v[:, sl] @ np.linalg.eigh(gram)[1]
+    cols = np.concatenate([np.arange(sl.start, sl.stop) for sl in clusters])
+    qh, ql = np.empty(v.shape[1]), np.empty(v.shape[1])
+    qh[cols], ql[cols] = _rayleigh_dd(m, v[:, cols] / d[:, None], v[:, cols] * d[:, None])
     for sl in clusters:
-        out[sl] = out[sl][np.argsort(-quot[sl], kind="stable")]
-    return out
+        v[:, sl] = v[:, sl][:, np.lexsort((-ql[sl], -qh[sl]))]
+    return v
 
 
 def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralSolution:
@@ -506,8 +508,8 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     if m.a == 0:
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
-        vecs = np.eye(dim)[order]
-        vecs = _fix_signs(_rotate_clusters(m, _cluster_slices(vals), vecs))
+        vecs = _rotate_clusters(m, _cluster_slices(vals), np.eye(dim)[:, order], np.ones(dim))
+        vecs = _fix_signs(vecs.T)
         return SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
                                 vals, vecs, tier, np.zeros(dim) if want_lo else None)
 
@@ -525,10 +527,14 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
 
     clusters = _cluster_slices(vals_desc)
     v = _inverse_sweeps(m.diag.astype(float), c, vals_desc, v[:, ::-1], clusters)
+    v = _rotate_clusters(m, clusters, v, dscale)
     vecs = (v / dscale[:, None]).T
-    vecs /= np.sqrt(np.sum(vecs**2, axis=1))[:, None]
-
-    vecs = _fix_signs(_rotate_clusters(m, clusters, vecs))
+    norm = np.sqrt(np.sum(vecs**2, axis=1))
+    if not np.all(np.isfinite(norm)):
+        k = int(np.argmax(~np.isfinite(norm))) + 1
+        raise NumericalFailureError(f"back-transform of label k={k} overflows "
+                                    f"(smallest scale factor {float(np.min(dscale))!r})")
+    vecs = _fix_signs(vecs / norm[:, None])
     sol = SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
                            vals_desc, vecs, tier, vlo_desc if want_lo else None)
     _check_residuals(m, sol)
@@ -546,7 +552,8 @@ def eigenpair_residuals(m: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray
 
 def _check_residuals(m: TridiagonalMatrix, sol: SpectralSolution):
     vals = sol.eigenvalues
-    bad = eigenpair_residuals(m, vals, sol.eigenvectors) > 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0)
+    res = eigenpair_residuals(m, vals, sol.eigenvectors)
+    bad = ~(res <= 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0))  # a NaN residual fails too
     if np.any(bad):
         raise NumericalFailureError(
             f"eigenpair residual out of tolerance for label k={int(np.argmax(bad)) + 1}")

@@ -14,14 +14,19 @@ puts the equation in self-adjoint form (w f')' + w (...) f = 0, so
 In coefficient space this is 2*pi * D_k . W . D_l with the kernel
 W[r,s] = (-1)**(r+s+sigma) I_{|r+s+sigma|}(a/2) (sigma = 0 even, 1 odd);
 harmonic differences are integers for both parities, so a single kernel
-covers the half-integer (odd) family too. Diagonal entries of this Gram form
-can be arbitrarily small or negative (the pairing is not a norm), so
-diagonality and route agreement are always measured against the largest
-diagonal entry.
+covers the half-integer (odd) family too. Both routes use the weight and
+kernel scaled by e^(-a/2), which stay finite at any a. The scaled weight's
+Fourier coefficients fall like exp(-k^2/a)/sqrt(pi a), and the trapezoid rule
+on a periodic integrand is exact up to aliasing (Trefethen & Weideman, SIAM
+Rev. 56 (2014) 385), so (8(n+1) + 7 sqrt(a)) points per 2*pi suffice.
+Diagonal entries of this Gram form can be arbitrarily small or negative (the
+pairing is not a norm), so diagonality and route agreement are always
+measured against the largest diagonal entry, which also cancels the scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,6 @@ from .errors import InvalidArgumentError, InvalidPairingError, OracleFailureErro
 from .ince_matrix import Parity, TridiagonalMatrix, build_even_matrix, build_odd_matrix
 from .polynomials import (Branch, TrigPolynomial, evaluate, governing_residual,
                           harmonic_sum, make_polynomial)
-from .wavefunction import series_truncation_order
 
 
 @dataclass(frozen=True)
@@ -44,15 +48,25 @@ class InnerProductReport:
     discrepancy: float
 
 
+# The Gram route holds a few (dim, points) complex arrays: ~100 MB each at
+# dimension 101 and this many points.
+_MAX_GRID_POINTS = 2**16
+
+
 def _quadrature_grid(n: int, a: float, period: float):
-    npts = max(64, 8 * (n + series_truncation_order(a)))
+    """Trapezoid nodes over one period and their spacing: (8(n+1) + 7 sqrt(a))
+    points per 2*pi, at least 64."""
+    npts = max(64, (8 * (n + 1) + math.ceil(7.0 * math.sqrt(a))) * round(period / (2.0 * np.pi)))
+    if npts > _MAX_GRID_POINTS:
+        raise InvalidArgumentError(f"quadrature grid of {npts} points at n={n}, a={a} "
+                                   f"exceeds its limit of {_MAX_GRID_POINTS}")
     xs = np.arange(npts) * (period / npts) - period / 2.0
     return xs, period / npts
 
 
-def _pairing_kernel(p: TrigPolynomial) -> np.ndarray:
-    sigma = 0 if p.parity is Parity.EVEN else 1
-    return bilinear_weight_kernel(p.r_indices, sigma, p.a)
+def _scaled_weight(a: float, xs: np.ndarray) -> np.ndarray:
+    """exp(-(a/2)(cos xi + 1)), as exp(-a cos^2(xi/2)) to avoid cancellation."""
+    return np.exp(-a * np.cos(xs / 2.0) ** 2)
 
 
 def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
@@ -60,7 +74,8 @@ def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
     """Weighted bilinear inner product over one 2*pi window of xi, by both
     routes. The odd family integrates over its natural 4*pi period and is
     rescaled to the 2*pi window (the product of two same-branch functions is
-    2*pi periodic for both parities)."""
+    2*pi periodic for both parities). Both routes are multiplied by e^(a/2),
+    which overflows above a ~ 1419."""
     if (pk.parity is not pl.parity or pk.n != pl.n or pk.a != pl.a
             or pk.branch is not pl.branch):
         raise InvalidPairingError(
@@ -71,11 +86,12 @@ def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
     if a is not None and float(a) != pk.a:
         raise InvalidPairingError(f"explicit a={a} disagrees with the polynomials' a={pk.a}")
     a = pk.a
+    unscale = math.exp(a / 2.0)
     xs, dxi = _quadrature_grid(pk.n, a, pk.period)
-    w = np.exp(-(a / 2.0) * np.cos(xs))
-    quad = np.sum(w * evaluate(pk, xs) * evaluate(pl, xs)) * dxi
-    quad *= 2.0 * np.pi / pk.period  # normalize to the 2*pi window
-    bess = 2.0 * np.pi * float(pk.coeffs @ _pairing_kernel(pk) @ pl.coeffs)
+    quad = np.sum(_scaled_weight(a, xs) * evaluate(pk, xs) * evaluate(pl, xs)) * dxi
+    quad *= unscale * 2.0 * np.pi / pk.period  # unscale, normalize to the 2*pi window
+    kern = bilinear_weight_kernel(pk.r_indices, int(pk.parity is Parity.ODD), a)
+    bess = unscale * 2.0 * np.pi * float(pk.coeffs @ kern @ pl.coeffs)
     return InnerProductReport(pk.k, pl.k, complex(quad), complex(bess), abs(quad - bess))
 
 
@@ -86,17 +102,24 @@ def normalization_check(p: TrigPolynomial) -> float:
     return float(np.mean(np.abs(vals) ** 2))
 
 
-def gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
-    """Full weighted Gram matrix by the quadrature and Bessel routes."""
+def scaled_gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
+    """gram_matrices times e^(-a/2), finite at any a; the check suite uses
+    these."""
     p0 = make_polynomial(sol, 1, branch)
     xs, dxi = _quadrature_grid(sol.n, sol.a, p0.period)
-    w = np.exp(-(sol.a / 2.0) * np.cos(xs))
     f = harmonic_sum(p0.xi_frequencies, sol.eigenvectors.T, xs, branch).T  # (dim, npts)
-    gram_quad = (f * w) @ f.T * dxi * (2.0 * np.pi / p0.period)
-    kern = _pairing_kernel(p0)
+    gram_quad = (f * _scaled_weight(sol.a, xs)) @ f.T * dxi * (2.0 * np.pi / p0.period)
+    kern = bilinear_weight_kernel(p0.r_indices, int(sol.parity is Parity.ODD), sol.a)
     dmat = sol.eigenvectors
     gram_bess = 2.0 * np.pi * (dmat @ kern @ dmat.T)
     return gram_quad, gram_bess
+
+
+def gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
+    """Full weighted Gram matrix by the quadrature and Bessel routes; like
+    weighted_inner_product it overflows above a ~ 1419."""
+    unscale = math.exp(sol.a / 2.0)
+    return tuple(unscale * g for g in scaled_gram_matrices(sol, branch))
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +244,7 @@ def verification_report(parity: Parity, n: int, a: float,
         ratios.append(np.max(np.abs(lhs), axis=0) / np.maximum(scale, 1e-300))
     add("ode_residual", np.max(ratios))
 
-    gq, gb = gram_matrices(sol)
+    gq, gb = scaled_gram_matrices(sol)
     dmax = np.max(np.abs(np.diag(gb)))
     off = gb - np.diag(np.diag(gb))
     add("gram_offdiag", np.max(np.abs(off)) / dmax)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import modified_bessel_i
+from .bessel import modified_bessel_i, scaled_bessel_i_table
 from .errors import EvanescentSolutionError, InvalidArgumentError, InvalidConfigError
 from .ince_matrix import Parity
 from .polynomials import Branch, TrigPolynomial, evaluate
@@ -113,7 +113,7 @@ def prefactor_series(a: float, l_max: int) -> np.ndarray:
     """
     if l_max < 0:
         raise InvalidArgumentError("l_max must be >= 0")
-    coeffs = np.array([modified_bessel_i(l, a / 4.0) for l in range(l_max + 1)])
+    coeffs = math.exp(a / 4.0) * scaled_bessel_i_table(l_max, a / 4.0)
     coeffs[1:] *= 2.0
     return coeffs
 

@@ -288,24 +288,49 @@ def _mpmath_vectors(m):
 
 
 @pytest.fixture(scope="module")
-def mpmath_vectors_n15_a12():
-    return {parity: _mpmath_vectors(builder(15, 12.0))
-            for parity, builder in (("even", build_even_matrix), ("odd", build_odd_matrix))}
+def mpmath_vectors_a12():
+    return {(parity, n): _mpmath_vectors(builder(n, 12.0))
+            for parity, builder in (("even", build_even_matrix), ("odd", build_odd_matrix))
+            for n in (15, 20)}
 
 
-@pytest.mark.parametrize("parity,tier,bound", [
-    ("even", Tier.DOUBLE, 1.2e-4), ("even", Tier.EXTENDED, 1.2e-4),
-    ("odd", Tier.DOUBLE, 1.1e-1), ("odd", Tier.EXTENDED, 1.4e-2),
-])
-def test_eigenvectors_match_mpmath_reference(mpmath_vectors_n15_a12, parity, tier, bound):
-    # the bounds are the largest component errors of the Sturm-bisection
-    # solver this one replaced (1.16e-4, 1.16e-4, 1.08e-1, 1.39e-2); the worst
-    # vectors are the members of the tightest pairs, (2,3) splitting by 1.7e-12
-    # (even) and 1.95e-13 (odd)
+@pytest.mark.parametrize("n", [15, 20])
+@pytest.mark.parametrize("tier", [Tier.DOUBLE, Tier.EXTENDED])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_eigenvectors_match_mpmath_reference(mpmath_vectors_a12, parity, tier, n):
+    # the tightest pairs split by 1.7e-12 (even n=15) and 1.95e-13 (odd
+    # n=15), below one ulp of their values, and yet every vector is right to
+    # rounding level: the cluster rotation works in the symmetric basis, in
+    # which the true vectors are orthonormal, and orders the members by a
+    # two-sided compensated Rayleigh quotient. The rotation the solver had
+    # before mixed or swapped members by up to 0.55 here.
     builder = build_even_matrix if parity == "even" else build_odd_matrix
-    sol = eigen_decompose(builder(15, 12.0), tier)
-    err = np.max(np.abs(sol.eigenvectors - mpmath_vectors_n15_a12[parity]))
-    assert err < bound
+    sol = eigen_decompose(builder(n, 12.0), tier)
+    err = np.max(np.abs(sol.eigenvectors - mpmath_vectors_a12[(parity, n)]))
+    assert err < 1e-12
+
+
+def test_residual_check_rejects_non_finite_rows():
+    # NaN > tol is False; the check must still fail on a NaN row
+    from incewave.eigensolver import SpectralSolution, _check_residuals
+
+    m = build_even_matrix(3, 1.0)
+    sol = eigen_decompose(m)
+    vecs = sol.eigenvectors.copy()
+    vecs[2, 1] = np.nan
+    bad = SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
+                           sol.eigenvalues.copy(), vecs, sol.refinement)
+    with pytest.raises(NumericalFailureError, match="k=3"):
+        _check_residuals(m, bad)
+
+
+@pytest.mark.parametrize("n", [520, 600])
+def test_overflowing_back_transform_raises(n):
+    # the diagonal scaling reaches 1e-150 and below: the back-transform or
+    # the cluster rotation overflows, which must raise rather than return
+    # NaN or zero rows
+    with pytest.raises(NumericalFailureError):
+        eigen_decompose(build_even_matrix(n, 12.0))
 
 
 # 50-digit references for the odd family n=15, a=12 (descending); its top
@@ -384,10 +409,10 @@ def test_pair_member_assignment(sol_n15_extended):
     m = build_even_matrix(15, 12.0)
     sol = sol_n15_extended
     for k in (4, 5):
-        rho = _rayleigh_dd(m, sol.eigenvectors[k - 1])
+        rh, rl = _rayleigh_dd(m, sol.eigenvectors[k - 1])
         h_own, l_own = sol.eigenvalue_dd(k)
         h_oth, l_oth = sol.eigenvalue_dd(9 - k)
-        assert abs(rho - (h_own + l_own)) < 1e-4 * abs(rho - (h_oth + l_oth))
+        assert abs((rh - h_own) + (rl - l_own)) < 1e-4 * abs((rh - h_oth) + (rl - l_oth))
 
 
 @given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 3.0))

@@ -8,7 +8,7 @@ from incewave.errors import InvalidArgumentError, InvalidPairingError
 from incewave.ince_matrix import Parity, build_even_matrix, build_odd_matrix
 from incewave.polynomials import (Branch, TrigPolynomial, evaluate, governing_residual,
                                   make_polynomial, ode_residual)
-from incewave.verify import (gram_matrices, normalization_check,
+from incewave.verify import (_quadrature_grid, gram_matrices, normalization_check,
                              oracle_eigenvalues, verification_report,
                              weighted_inner_product)
 
@@ -112,6 +112,33 @@ def test_report_passes_reference_configuration():
     names = [c["name"] for c in rep["checks"]]
     assert names == ["eigen_residual", "normalization", "ode_residual",
                      "gram_offdiag", "route_agreement", "trace_identity"]
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+@pytest.mark.parametrize("a", [1.5e3, 1e5, 1e7])
+def test_report_passes_at_large_a(parity, a):
+    # the weight and kernel scaled by e^(-a/2) stay finite at any a, and the
+    # quadrature grid grows only as sqrt(a)
+    rep = verification_report(parity, 20, a)
+    assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
+
+
+def test_report_passes_where_the_unscaled_kernel_overflowed():
+    assert verification_report(Parity.EVEN, 3, 1e4)["passed"]
+
+
+def test_quadrature_grid_stays_small_at_large_a():
+    xs, dxi = _quadrature_grid(40, 1e7, 2 * np.pi)
+    assert xs.size <= 50_000
+    assert xs.size * dxi == pytest.approx(2 * np.pi)
+    with pytest.raises(InvalidArgumentError):
+        _quadrature_grid(40, 1e9, 2 * np.pi)
+
+
+def test_unscaled_inner_product_overflows_above_its_range():
+    sol = eigen_decompose(build_even_matrix(2, 1500.0))
+    with pytest.raises(OverflowError):
+        weighted_inner_product(make_polynomial(sol, 1), make_polynomial(sol, 2))
 
 
 def test_report_trivial_configuration():
