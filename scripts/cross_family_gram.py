@@ -24,7 +24,7 @@ def run(n1: int, n2: int, a: float) -> None:
     # common harmonic grid covering both families
     lo, hi = min(rs1[0], rs2[0]), max(rs1[-1], rs2[-1])
     rs = np.arange(lo, hi + 1)
-    kern = bilinear_weight_kernel(rs, 0, a)
+    kern = bilinear_weight_kernel(rs, a)
 
     def embed(sol):
         out = np.zeros((sol.dim, rs.size))

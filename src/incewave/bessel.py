@@ -44,16 +44,16 @@ def modified_bessel_i(l: int, x: float) -> float:
     return float(scaled_bessel_i_table(l, x)[l]) * math.exp(x)
 
 
-def bilinear_weight_kernel(row_indices, sigma: int, a: float):
+def bilinear_weight_kernel(freqs, a: float):
     """Gram kernel of the weighted bilinear pairing in coefficient space,
     scaled by e^(-a/2): e^(-a/2) W with
-    W[i, j] = (-1)**(r_i + r_j + sigma) * I_{|r_i + r_j + sigma|}(a/2), where
-    sigma is 0 for integer harmonics and 1 for half-integer ones. W is the
-    Fourier image of the weight exp(-(a/2) cos xi) on products of same-branch
-    harmonics, so the scaled kernel is that of exp(-(a/2)(cos xi + 1)) and
-    cannot overflow."""
-    rs = np.asarray(row_indices, dtype=int)
-    msum = rs[:, None] + rs[None, :] + int(sigma)
-    orders = np.abs(msum)
+    W[i, j] = (-1)**(f_i + f_j) * I_{|f_i + f_j|}(a/2) over the harmonic
+    frequencies f of a layout; f_i + f_j is an integer for both families. W
+    is the Fourier image of the weight exp(-(a/2) cos xi) on products of
+    same-branch harmonics, so the scaled kernel is that of
+    exp(-(a/2)(cos xi + 1)) and cannot overflow."""
+    fs = np.asarray(freqs, dtype=float)
+    msum = np.add.outer(fs, fs)
+    orders = np.abs(msum).astype(int)
     table = scaled_bessel_i_table(int(orders.max()), a / 2.0)
     return np.where(msum % 2 == 0, 1.0, -1.0) * table[orders]

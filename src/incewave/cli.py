@@ -15,6 +15,7 @@ and UTF-8.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -23,10 +24,10 @@ import numpy as np
 from . import __version__
 from .eigensolver import Tier, eigen_decompose
 from .errors import InvalidArgumentError
-from .ince_matrix import Parity
+from .ince_matrix import Parity, build_matrix
 from .physics import derive_config, momentum_spectrum
 from .polynomials import evaluate, harmonic_strengths, make_polynomial
-from .verify import build_matrix, verification_report
+from .verify import verification_report
 from .wavefunction import prefactor
 
 # ----------------------------------------------------------------------
@@ -133,18 +134,10 @@ def _emit(args, command: str, parameters: dict, tier: str | None,
 # ----------------------------------------------------------------------
 
 
-def _parity(s: str) -> Parity:
-    return Parity.EVEN if s == "even" else Parity.ODD
-
-
-def _tier(s: str) -> Tier:
-    return Tier.DOUBLE if s == "double" else Tier.EXTENDED
-
-
 def cmd_spectrum(args) -> int:
     started = time.monotonic()
-    m = build_matrix(_parity(args.parity), args.n, args.a)
-    sol = eigen_decompose(m, _tier(args.tier))
+    m = build_matrix(Parity(args.parity), args.n, args.a)
+    sol = eigen_decompose(m, Tier(args.tier))
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
               "format": args.format}
     data = {
@@ -167,8 +160,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     started = time.monotonic()
-    m = build_matrix(_parity(args.parity), args.n, args.a)
-    sol = eigen_decompose(m, _tier(args.tier))
+    m = build_matrix(Parity(args.parity), args.n, args.a)
+    sol = eigen_decompose(m, Tier(args.tier))
     dist = np.abs(sol.eigenvalues - args.eta)
     k = int(np.argmin(dist)) + 1
     if dist[k - 1] > args.eta_tol:
@@ -183,6 +176,8 @@ def cmd_wavefunction(args) -> int:
     vals = evaluate(p, xis)
     if args.with_prefactor:
         vals = vals * prefactor(args.a, xis)
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgumentError(f"prefactor times polynomial overflows at a={args.a}")
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
               "eta": args.eta, "eta_tol": args.eta_tol, "xi_min": args.xi_min,
               "xi_max": args.xi_max, "points": args.points,
@@ -259,14 +254,14 @@ def cmd_scan(args) -> int:
     if not ns or not args.a:
         sys.stderr.write("empty scan grid\n")
         return 2
-    parity = _parity(args.parity)
+    parity = Parity(args.parity)
     if parity is Parity.EVEN and args.n_min < 1:
         sys.stderr.write("even family needs n >= 1\n")
         return 2
     rows = []
     for n in ns:
         for a in args.a:
-            sol = eigen_decompose(build_matrix(parity, n, a), _tier(args.tier))
+            sol = eigen_decompose(build_matrix(parity, n, a), Tier(args.tier))
             for rec in momentum_spectrum(sol, args.pz, args.K):
                 rows.append((n, float(a), rec.k, rec.eta, rec.gap, rec.p_xi_scaled))
     params = {"parity": args.parity, "n_min": args.n_min, "n_max": args.n_max,
@@ -283,8 +278,8 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    report = verification_report(_parity(args.parity), args.n, args.a,
-                                 _tier(args.tier),
+    report = verification_report(Parity(args.parity), args.n, args.a,
+                                 Tier(args.tier),
                                  corrupt_eta_label=args.corrupt_eta)
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier}
     _emit(args, "verify", params, args.tier, report, started=started)
@@ -298,6 +293,14 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+
+
+def finite_float(s: str) -> float:
+    """argparse type of every float option: NaN and +-inf are usage errors."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {s!r}")
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues and coefficient vectors")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=finite_float, required=True)
     common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="trace of one polynomial over a phase window")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True,
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--eta", type=finite_float, required=True,
                    help="select the eigenvalue nearest this value")
-    p.add_argument("--eta-tol", type=float, default=0.5)
-    p.add_argument("--xi-min", type=float, default=-2 * np.pi)
-    p.add_argument("--xi-max", type=float, default=2 * np.pi)
+    p.add_argument("--eta-tol", type=finite_float, default=0.5)
+    p.add_argument("--xi-min", type=finite_float, default=-2 * np.pi)
+    p.add_argument("--xi-max", type=finite_float, default=2 * np.pi)
     p.add_argument("--points", type=int, default=1024)
     p.add_argument("--with-prefactor", action="store_true")
     p.add_argument("--strengths-out", default=None,
@@ -341,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wavefunction, format="csv")
 
     p = sub.add_parser("physics", help="laboratory-to-model parameter report")
-    p.add_argument("--photon-ev", type=float, required=True)
-    p.add_argument("--plasma-ev", type=float, default=None)
-    p.add_argument("--density-cm3", type=float, default=None)
-    p.add_argument("--intensity-wcm2", type=float, default=0.0)
+    p.add_argument("--photon-ev", type=finite_float, required=True)
+    p.add_argument("--plasma-ev", type=finite_float, default=None)
+    p.add_argument("--density-cm3", type=finite_float, default=None)
+    p.add_argument("--intensity-wcm2", type=finite_float, default=0.0)
     common(p, tier=False, fmt=False)
     p.set_defaults(func=cmd_physics, format="json")
 
@@ -352,16 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--a", type=float, nargs="+", required=True)
-    p.add_argument("--pz", type=float, default=0.0, help="2 p_z / k_p")
-    p.add_argument("--K", type=float, default=0.0, help="2 kappa / k_p")
+    p.add_argument("--a", type=finite_float, nargs="+", required=True)
+    p.add_argument("--pz", type=finite_float, default=0.0, help="2 p_z / k_p")
+    p.add_argument("--K", type=finite_float, default=0.0, help="2 kappa / k_p")
     common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="invariant suite for one configuration")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--corrupt-eta", type=int, default=None, help=argparse.SUPPRESS)
     common(p, fmt=False)
     p.set_defaults(func=cmd_verify, format="json")

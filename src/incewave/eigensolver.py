@@ -45,7 +45,7 @@ from .errors import (
     InvalidBracketError,
     NumericalFailureError,
 )
-from .ince_matrix import Parity, TridiagonalMatrix, scaled_minors
+from .ince_matrix import HarmonicLayout, Parity, TridiagonalMatrix, scaled_minors
 
 _EPS = np.finfo(float).eps
 
@@ -65,7 +65,7 @@ class Tier(Enum):
 
 
 @dataclass(frozen=True)
-class SpectralSolution:
+class SpectralSolution(HarmonicLayout):
     """Full spectrum of one coupling matrix.
 
     eigenvalues are sorted descending (label k = 1..dim indexes this order);
@@ -79,8 +79,6 @@ class SpectralSolution:
     parity: Parity
     n: int
     a: float
-    row_index_lo: int
-    row_index_hi: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     refinement: Tier
@@ -91,14 +89,6 @@ class SpectralSolution:
         self.eigenvectors.setflags(write=False)
         if self.eigenvalues_lo is not None:
             self.eigenvalues_lo.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        return np.arange(self.row_index_lo, self.row_index_hi + 1)
 
     def eigenvalue_dd(self, k: int) -> tuple[float, float]:
         """Compensated (hi, lo) pair for label k (1-based, descending)."""
@@ -478,7 +468,7 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
     if not clusters:
         return v
     v = v.copy()
-    weight = bilinear_weight_kernel(m.row_indices, int(m.parity is Parity.ODD), m.a)
+    weight = bilinear_weight_kernel(m.xi_frequencies, m.a)
     for sl in clusters:
         u = v[:, sl] / d[:, None]
         gram = u.T @ weight @ u
@@ -501,17 +491,16 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     want_lo = tier is Tier.EXTENDED
 
     if dim == 1:
-        return SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
-                                np.array([float(m.diag[0])]), np.ones((1, 1)), tier,
-                                np.zeros(1) if want_lo else None)
+        return SpectralSolution(m.parity, m.n, m.a, np.array([float(m.diag[0])]), np.ones((1, 1)),
+                                tier, np.zeros(1) if want_lo else None)
 
     if m.a == 0:
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
         vecs = _rotate_clusters(m, _cluster_slices(vals), np.eye(dim)[:, order], np.ones(dim))
         vecs = _fix_signs(vecs.T)
-        return SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
-                                vals, vecs, tier, np.zeros(dim) if want_lo else None)
+        return SpectralSolution(m.parity, m.n, m.a, vals, vecs, tier,
+                                np.zeros(dim) if want_lo else None)
 
     c, dscale = symmetrize(m)
     asc, v = _lapack_eigh(m, c)
@@ -535,8 +524,7 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
         raise NumericalFailureError(f"back-transform of label k={k} overflows "
                                     f"(smallest scale factor {float(np.min(dscale))!r})")
     vecs = _fix_signs(vecs / norm[:, None])
-    sol = SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
-                           vals_desc, vecs, tier, vlo_desc if want_lo else None)
+    sol = SpectralSolution(m.parity, m.n, m.a, vals_desc, vecs, tier, vlo_desc if want_lo else None)
     _check_residuals(m, sol)
     return sol
 

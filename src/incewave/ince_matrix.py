@@ -1,18 +1,17 @@
 """Construction of the even/odd coupling matrices and their characteristic minors.
 
 The finite trigonometric-polynomial wave states are eigenvectors of special
-tridiagonal matrices. For the even family (dimension 2n, harmonic index
-r = -n+1..n) the entries are
+tridiagonal matrices. Both families share one harmonic layout, fixed by the
+quantized transverse momentum p_x (units of k_p): p_x = n for the even family
+and n + 1/2 for the odd one. Row r = floor(f) carries the harmonic of
+frequency f = -p_x+1 .. p_x, so the dimension is 2 p_x, and the entries are
 
-    diag[r]  = 4 r**2
-    super[r] = (n + r) a        (row r -> r+1)
-    sub[r]   = (n - r + 1) a    (row r -> r-1)
+    diag[r]  = 4 f**2
+    super[r] = (p_x + f) a      (row r -> r+1)
+    sub[r]   = (p_x - f) a      (row r+1 -> r)
 
-and for the odd family (dimension 2n+1, r = -n..n)
-
-    diag[r]  = (2 r + 1)**2
-    super[r] = (n + r + 1) a
-    sub[r]   = (n - r + 1) a
+Up to a diagonal similarity this is 4 Jz**2 + 4 Jz + 1 + 2 a Jx in the
+spin-j representation of su(2), j = p_x - 1/2, Jz = f - 1/2.
 
 For a > 0 every super*sub product on a shared edge is positive, so the matrix
 is similar to a real symmetric tridiagonal one and its spectrum is real and
@@ -35,20 +34,62 @@ class Parity(Enum):
     ODD = "odd"
 
 
+class HarmonicLayout:
+    """The layout above, from (parity, n) alone; TridiagonalMatrix,
+    SpectralSolution and TrigPolynomial share it. The plus-branch harmonics
+    are exp(-i f xi), the governing equation's q is 2 p_x - 1, and the period
+    in xi is 2 pi for integer p_x and 4 pi for half-integer p_x."""
+
+    def __init__(self, parity: Parity, n: int):
+        self.parity, self.n = parity, n
+
+    @property
+    def p_x(self) -> float:
+        """Transverse momentum in units of k_p."""
+        return self.n + (0.0 if self.parity is Parity.EVEN else 0.5)
+
+    @property
+    def dim(self) -> int:
+        return int(2 * self.p_x)
+
+    @property
+    def xi_frequencies(self) -> np.ndarray:
+        """Harmonic frequencies f = -p_x+1 .. p_x, ascending."""
+        return np.arange(1 - self.p_x, self.p_x + 1)
+
+    @property
+    def row_indices(self) -> np.ndarray:
+        return np.floor(self.xi_frequencies).astype(int)
+
+    @property
+    def row_index_lo(self) -> int:
+        return math.floor(1 - self.p_x)
+
+    @property
+    def row_index_hi(self) -> int:
+        return self.n
+
+    @property
+    def q(self) -> int:
+        return self.dim - 1
+
+    @property
+    def period(self) -> float:
+        return 2 * np.pi if self.p_x == self.n else 4 * np.pi
+
+
 @dataclass(frozen=True)
-class TridiagonalMatrix:
+class TridiagonalMatrix(HarmonicLayout):
     """Three-band matrix with rows labelled by the harmonic index r.
 
     Bands are stored in ascending r order: diag[i] belongs to row
-    r = row_index_lo + i, super[i] couples row r to r+1, sub[i] couples
-    row r+1 back to r (so dense A[i, i+1] = super[i], A[i+1, i] = sub[i]).
+    row_indices[i], super[i] couples row r to r+1, sub[i] couples row r+1
+    back to r (so dense A[i, i+1] = super[i], A[i+1, i] = sub[i]).
     """
 
     parity: Parity
     n: int
     a: float
-    row_index_lo: int
-    row_index_hi: int
     diag: np.ndarray
     super: np.ndarray
     sub: np.ndarray
@@ -56,14 +97,6 @@ class TridiagonalMatrix:
     def __post_init__(self):
         for arr in (self.diag, self.super, self.sub):
             arr.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.row_index_hi - self.row_index_lo + 1
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        return np.arange(self.row_index_lo, self.row_index_hi + 1)
 
     def offdiag_products(self) -> np.ndarray:
         """super[j] * sub[j] per shared edge; all > 0 when a > 0."""
@@ -92,30 +125,33 @@ def _check_a(a: float) -> float:
     return a
 
 
+def build_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
+    """Coupling matrix of either family; build_even_matrix or build_odd_matrix
+    checks n."""
+    return (build_even_matrix if parity is Parity.EVEN else build_odd_matrix)(n, a)
+
+
+def _layout_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
+    """diag 4 f**2, super (p_x + f) a and sub (p_x - f) a over the layout."""
+    a = _check_a(a)
+    layout = HarmonicLayout(parity, int(n))
+    f = layout.xi_frequencies
+    return TridiagonalMatrix(parity, layout.n, a, 4.0 * f * f,
+                             (layout.p_x + f[:-1]) * a, (layout.p_x - f[:-1]) * a)
+
+
 def build_even_matrix(n: int, a: float) -> TridiagonalMatrix:
     """Even-family matrix of dimension 2n (rows r = -n+1 .. n)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"even family requires integer n >= 1, got {n!r}")
-    a = _check_a(a)
-    n = int(n)
-    rs = np.arange(-n + 1, n + 1)
-    diag = (4.0 * rs * rs).astype(float)
-    sup = (n + rs[:-1]).astype(float) * a
-    sub = (n - rs[1:] + 1).astype(float) * a
-    return TridiagonalMatrix(Parity.EVEN, n, a, -n + 1, n, diag, sup, sub)
+    return _layout_matrix(Parity.EVEN, n, a)
 
 
 def build_odd_matrix(n: int, a: float) -> TridiagonalMatrix:
     """Odd-family matrix of dimension 2n+1 (rows r = -n .. n)."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidArgumentError(f"odd family requires integer n >= 0, got {n!r}")
-    a = _check_a(a)
-    n = int(n)
-    rs = np.arange(-n, n + 1)
-    diag = ((2.0 * rs + 1) ** 2).astype(float)
-    sup = (n + rs[:-1] + 1).astype(float) * a
-    sub = (n - rs[1:] + 1).astype(float) * a
-    return TridiagonalMatrix(Parity.ODD, n, a, -n, n, diag, sup, sub)
+    return _layout_matrix(Parity.ODD, n, a)
 
 
 def scaled_minors(m: TridiagonalMatrix, xs) -> tuple[np.ndarray, np.ndarray]:

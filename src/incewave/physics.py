@@ -29,7 +29,6 @@ import numpy as np
 
 from .eigensolver import SpectralSolution
 from .errors import AmbiguousInputError, InvalidArgumentError, NotUnderdenseError
-from .ince_matrix import Parity
 
 MC2_EV = 510998.95  # electron rest energy used on the handbook path
 MU0_PREFACTOR = 1.06e-9  # mu_0 = 1.06e-9 sqrt(S) / E_ph
@@ -137,6 +136,11 @@ def derive_config(photon_energy_ev: float,
     Exactly one of plasma_energy_ev / electron_density_cm3 must be given, and
     the photon energy must exceed the plasmon energy (underdense medium).
     """
+    given = {"photon_energy_ev": photon_energy_ev, "plasma_energy_ev": plasma_energy_ev,
+             "electron_density_cm3": electron_density_cm3, "intensity_wcm2": intensity_wcm2}
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite, got {value}")
     if photon_energy_ev <= 0:
         raise InvalidArgumentError("photon energy must be positive")
     if intensity_wcm2 < 0:
@@ -237,7 +241,7 @@ def momentum_spectrum(sol: SpectralSolution, pz_scaled: float = 0.0,
     if kappa_scaled < 0:
         raise InvalidArgumentError("kappa_scaled must be >= 0")
     a = sol.a
-    qp1 = 2 * sol.n if sol.parity is Parity.EVEN else 2 * sol.n + 1
+    qp1 = 2 * sol.p_x
     threshold = (a / 2.0) ** 2
     records = []
     for i, eta in enumerate(np.asarray(sol.eigenvalues, dtype=float)):

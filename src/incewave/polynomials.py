@@ -1,8 +1,9 @@
 """Finite complex trigonometric polynomials built from spectral solutions.
 
-An even-family polynomial is sum_r D_r exp(-i r xi) over r = -n+1..n (period
-2*pi in xi); an odd-family one is sum_r D_r exp(-i (2r+1) xi/2) over
-r = -n..n, which carries half-integer harmonics and is only 4*pi periodic.
+A polynomial is sum_r D_r exp(-i f_r xi) over the harmonic frequencies
+f = -p_x+1 .. p_x of its family's layout (ince_matrix.HarmonicLayout): p_x = n
+gives the even family's integer harmonics and period 2*pi in xi, p_x = n + 1/2
+the odd family's half-integer ones, which are only 4*pi periodic.
 The minus branch is the pointwise complex conjugate of the plus branch and
 solves the conjugate differential equation.
 
@@ -10,11 +11,11 @@ In the wave phase variable z = xi/2 every polynomial f satisfies
 
     f'' + a sin(2z) (f' + i s f) + (eta - q a cos(2z)) f = 0
 
-with s = +1 (plus branch) or -1 (minus branch), q = 2n - 1 (even family) or
-q = 2n (odd family), and eta the matrix eigenvalue.
+with s = +1 (plus branch) or -1 (minus branch), q = 2 p_x - 1, and eta the
+matrix eigenvalue.
 
 Every value and derivative goes through harmonic_sum, the one evaluator of
-the phase matrix exp(-i outer(xi, m_r)). governing_residual evaluates the
+the phase matrix exp(-i outer(xi, f_r)). governing_residual evaluates the
 left-hand side for a whole block of coefficient vectors at once, as the
 check suite does for all labels of one solution; ode_residual is its
 one-column case.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .eigensolver import SpectralSolution
 from .errors import InvalidArgumentError
-from .ince_matrix import Parity
+from .ince_matrix import HarmonicLayout, Parity
 
 
 class Branch(Enum):
@@ -38,7 +39,7 @@ class Branch(Enum):
 
 
 @dataclass(frozen=True)
-class TrigPolynomial:
+class TrigPolynomial(HarmonicLayout):
     parity: Parity
     branch: Branch
     n: int
@@ -46,37 +47,17 @@ class TrigPolynomial:
     a: float
     eta: float
     coeffs: np.ndarray  # D_r over ascending r
-    q: int
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    @property
-    def r_indices(self) -> np.ndarray:
-        if self.parity is Parity.EVEN:
-            return np.arange(-self.n + 1, self.n + 1)
-        return np.arange(-self.n, self.n + 1)
-
-    @property
-    def xi_frequencies(self) -> np.ndarray:
-        """Harmonic frequencies m_r in exp(-i m_r xi) for the plus branch."""
-        r = self.r_indices
-        if self.parity is Parity.EVEN:
-            return r.astype(float)
-        return r + 0.5
-
-    @property
-    def period(self) -> float:
-        return 2 * np.pi if self.parity is Parity.EVEN else 4 * np.pi
 
 
 def make_polynomial(sol: SpectralSolution, k: int, branch: Branch = Branch.PLUS) -> TrigPolynomial:
     """Polynomial for eigenvalue label k (1-based, descending order)."""
     if not 1 <= k <= sol.dim:
         raise InvalidArgumentError(f"label k={k} outside 1..{sol.dim}")
-    q = 2 * sol.n - 1 if sol.parity is Parity.EVEN else 2 * sol.n
     return TrigPolynomial(sol.parity, branch, sol.n, k, sol.a,
-                          float(sol.eigenvalues[k - 1]), sol.eigenvectors[k - 1].copy(), q)
+                          float(sol.eigenvalues[k - 1]), sol.eigenvectors[k - 1].copy())
 
 
 def harmonic_sum(freqs: np.ndarray, coeffs: np.ndarray, xi, branch: Branch):
@@ -115,7 +96,7 @@ def governing_residual(freqs: np.ndarray, q: int, a: float, coeffs: np.ndarray,
     etas[j]. Both results have shape z.shape + (k,).
 
     f, df/dz and d2f/dz2 come from one phase matrix at xi = 2z, since
-    d/dz multiplies harmonic r by -2i m_r.
+    d/dz multiplies harmonic r by -2i f_r.
     """
     z = np.asarray(z, dtype=float)
     dz = (-2j * freqs)[:, None]
@@ -137,4 +118,4 @@ def ode_residual(p: TrigPolynomial, z):
 
 def harmonic_strengths(p: TrigPolynomial) -> list[tuple[int, float]]:
     """Squared coefficients (r, D_r**2) in ascending r; they sum to 1."""
-    return [(int(r), float(c * c)) for r, c in zip(p.r_indices, p.coeffs)]
+    return [(int(r), float(c * c)) for r, c in zip(p.row_indices, p.coeffs)]

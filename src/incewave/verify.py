@@ -12,9 +12,9 @@ puts the equation in self-adjoint form (w f')' + w (...) f = 0, so
     integral over a period of  w(xi) f_k(xi) f_l(xi) dxi  = 0   (k != l).
 
 In coefficient space this is 2*pi * D_k . W . D_l with the kernel
-W[r,s] = (-1)**(r+s+sigma) I_{|r+s+sigma|}(a/2) (sigma = 0 even, 1 odd);
-harmonic differences are integers for both parities, so a single kernel
-covers the half-integer (odd) family too. Both routes use the weight and
+W[r,s] = (-1)**(f_r+f_s) I_{|f_r+f_s|}(a/2) over the layout's harmonic
+frequencies f; f_r + f_s is an integer for both parities, so a single
+kernel covers the half-integer (odd) family too. Both routes use the weight and
 kernel scaled by e^(-a/2), which stay finite at any a. The scaled weight's
 Fourier coefficients fall like exp(-k^2/a)/sqrt(pi a), and the trapezoid rule
 on a periodic integrand is exact up to aliasing (Trefethen & Weideman, SIAM
@@ -34,9 +34,8 @@ import numpy as np
 from .bessel import bilinear_weight_kernel
 from .eigensolver import SpectralSolution, Tier, eigen_decompose, eigenpair_residuals
 from .errors import InvalidArgumentError, InvalidPairingError, OracleFailureError
-from .ince_matrix import Parity, TridiagonalMatrix, build_even_matrix, build_odd_matrix
-from .polynomials import (Branch, TrigPolynomial, evaluate, governing_residual,
-                          harmonic_sum, make_polynomial)
+from .ince_matrix import Parity, TridiagonalMatrix, build_matrix
+from .polynomials import Branch, TrigPolynomial, evaluate, governing_residual, harmonic_sum
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
     rescaled to the 2*pi window (the product of two same-branch functions is
     2*pi periodic for both parities). Both routes are multiplied by e^(a/2),
     which overflows above a ~ 1419."""
-    if (pk.parity is not pl.parity or pk.n != pl.n or pk.a != pl.a
+    if (pk.parity != pl.parity or pk.n != pl.n or pk.a != pl.a
             or pk.branch is not pl.branch):
         raise InvalidPairingError(
             "inner products need matching parity, n, a and branch: "
@@ -90,7 +89,7 @@ def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
     xs, dxi = _quadrature_grid(pk.n, a, pk.period)
     quad = np.sum(_scaled_weight(a, xs) * evaluate(pk, xs) * evaluate(pl, xs)) * dxi
     quad *= unscale * 2.0 * np.pi / pk.period  # unscale, normalize to the 2*pi window
-    kern = bilinear_weight_kernel(pk.r_indices, int(pk.parity is Parity.ODD), a)
+    kern = bilinear_weight_kernel(pk.xi_frequencies, a)
     bess = unscale * 2.0 * np.pi * float(pk.coeffs @ kern @ pl.coeffs)
     return InnerProductReport(pk.k, pl.k, complex(quad), complex(bess), abs(quad - bess))
 
@@ -105,11 +104,10 @@ def normalization_check(p: TrigPolynomial) -> float:
 def scaled_gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
     """gram_matrices times e^(-a/2), finite at any a; the check suite uses
     these."""
-    p0 = make_polynomial(sol, 1, branch)
-    xs, dxi = _quadrature_grid(sol.n, sol.a, p0.period)
-    f = harmonic_sum(p0.xi_frequencies, sol.eigenvectors.T, xs, branch).T  # (dim, npts)
-    gram_quad = (f * _scaled_weight(sol.a, xs)) @ f.T * dxi * (2.0 * np.pi / p0.period)
-    kern = bilinear_weight_kernel(p0.r_indices, int(sol.parity is Parity.ODD), sol.a)
+    xs, dxi = _quadrature_grid(sol.n, sol.a, sol.period)
+    f = harmonic_sum(sol.xi_frequencies, sol.eigenvectors.T, xs, branch).T  # (dim, npts)
+    gram_quad = (f * _scaled_weight(sol.a, xs)) @ f.T * dxi * (2.0 * np.pi / sol.period)
+    kern = bilinear_weight_kernel(sol.xi_frequencies, sol.a)
     dmat = sol.eigenvectors
     gram_bess = 2.0 * np.pi * (dmat @ kern @ dmat.T)
     return gram_quad, gram_bess
@@ -199,12 +197,6 @@ _CHECK_THRESHOLDS = {
 }
 
 
-def build_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
-    if parity is Parity.EVEN:
-        return build_even_matrix(n, a)
-    return build_odd_matrix(n, a)
-
-
 def verification_report(parity: Parity, n: int, a: float,
                         tier: Tier = Tier.DOUBLE,
                         corrupt_eta_label: int | None = None) -> dict:
@@ -238,9 +230,9 @@ def verification_report(parity: Parity, n: int, a: float,
         etas[corrupt_eta_label - 1] += 1.0
     ratios = []
     for branch in (Branch.PLUS, Branch.MINUS):
-        p = make_polynomial(sol, 1, branch)
-        lhs, f = governing_residual(p.xi_frequencies, p.q, p.a, sol.eigenvectors.T, etas, zs, branch)
-        scale = (np.abs(etas) + 2.0 * p.n * p.a) * np.max(np.abs(f), axis=0)
+        lhs, f = governing_residual(sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T, etas,
+                                    zs, branch)
+        scale = (np.abs(etas) + 2.0 * sol.n * sol.a) * np.max(np.abs(f), axis=0)
         ratios.append(np.max(np.abs(lhs), axis=0) / np.maximum(scale, 1e-300))
     add("ode_residual", np.max(ratios))
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bessel import modified_bessel_i, scaled_bessel_i_table
 from .errors import EvanescentSolutionError, InvalidArgumentError, InvalidConfigError
-from .ince_matrix import Parity
 from .polynomials import Branch, TrigPolynomial, evaluate
 
 __all__ = [
@@ -74,8 +73,7 @@ class ScalarSolution:
     @property
     def p_x(self) -> float:
         """Transverse momentum in units of k_p: n (even) or n + 1/2 (odd)."""
-        n = self.polynomial.n
-        return float(n) if self.polynomial.parity is Parity.EVEN else n + 0.5
+        return self.polynomial.p_x
 
     @property
     def evanescent(self) -> bool:
@@ -93,9 +91,19 @@ def x_hat(ct, y, cfg) -> float:
     return (cfg.k0_cm / cfg.kp_cm) * (y - cfg.n_m * ct)
 
 
+# Largest exponent whose exponential is a finite float (~709.78).
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 def prefactor(a: float, xi):
-    """exp(-(a/4) cos xi); positive, maximal (e^(a/4)) at xi = pi mod 2 pi."""
-    return np.exp(-(a / 4.0) * np.cos(xi))
+    """exp(-(a/4) cos xi); positive, maximal (e^(a/4)) at xi = pi mod 2 pi.
+    Raises InvalidArgumentError where the value would overflow to inf."""
+    expo = -(a / 4.0) * np.cos(xi)
+    if np.any(expo > _LOG_FLOAT_MAX):
+        raise InvalidArgumentError(
+            f"prefactor exp(-(a/4) cos xi) overflows at a={a}: exponent "
+            f"{float(np.max(expo)):.6g} exceeds ln(float max) = {_LOG_FLOAT_MAX:.6g}")
+    return np.exp(expo)
 
 
 def series_truncation_order(a: float) -> int:

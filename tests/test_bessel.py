@@ -80,7 +80,7 @@ def test_sum_identity():
 def test_weight_kernel_even_structure():
     # the kernel is scaled by e^(-a/2)
     rs = np.arange(-1, 3)  # even family n=2
-    w = bilinear_weight_kernel(rs, 0, 5.0)
+    w = bilinear_weight_kernel(rs, 5.0)
     assert w.shape == (4, 4)
     # symmetric in (i, j) since r_i + r_j is
     np.testing.assert_array_equal(w, w.T)
@@ -92,7 +92,7 @@ def test_weight_kernel_even_structure():
 
 def test_weight_kernel_a_zero_is_antidiagonal_pairing():
     rs = np.arange(-2, 3)
-    w = bilinear_weight_kernel(rs, 0, 0.0)
+    w = bilinear_weight_kernel(rs, 0.0)
     expect = np.zeros((5, 5))
     for i, ri in enumerate(rs):
         for j, rj in enumerate(rs):

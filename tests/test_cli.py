@@ -12,7 +12,7 @@ import pytest
 from importlib import resources
 
 import incewave
-from incewave.cli import main
+from incewave.cli import build_parser, finite_float, main
 
 
 def run(tmp_path, *argv):
@@ -125,6 +125,21 @@ def test_wavefunction_eta_selector_failure(tmp_path, capsys):
     assert "nearest candidates" in err
 
 
+@pytest.mark.parametrize("a,eta", [
+    ("5000", "2000"),  # e^(a/4) = e^1250 at xi = pi is beyond float range
+    ("2839", "-14189"),  # e^709.75 is finite, but |f(pi)| = 2.0 for this label
+])
+def test_wavefunction_prefactor_overflow_exit2(tmp_path, capsys, a, eta):
+    # no rows of inf
+    out = tmp_path / "w.json"
+    code = run(tmp_path, "wavefunction", "--parity", "even", "--n", "3", "--a", a,
+               "--eta", eta, "--eta-tol", "1e9", "--xi-min", "3", "--xi-max", "3.3",
+               "--points", "3", "--with-prefactor", "--format", "json", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_wavefunction_strengths_sum(tmp_path):
     out = tmp_path / "w.csv"
     sout = tmp_path / "strengths.csv"
@@ -203,6 +218,49 @@ def test_scan_empty_grid_exit2(tmp_path):
                "--a", "1") == 2
     assert run(tmp_path, "scan", "--parity", "even", "--n-min", "0", "--n-max", "2",
                "--a", "1") == 2
+
+
+# Every float option of the parser, with arguments that make the rest of its
+# command valid.
+_BASE_ARGV = {
+    "spectrum": ["--parity", "even", "--n", "2", "--a", "1"],
+    "wavefunction": ["--parity", "even", "--n", "2", "--a", "1", "--eta", "1"],
+    "physics": ["--photon-ev", "1.5", "--plasma-ev", "1"],
+    "scan": ["--parity", "even", "--n-min", "1", "--n-max", "2", "--a", "1"],
+    "verify": ["--parity", "even", "--n", "2", "--a", "1"],
+}
+_FLOAT_OPTIONS = [
+    ("spectrum", "--a"), ("wavefunction", "--a"), ("wavefunction", "--eta"),
+    ("wavefunction", "--eta-tol"), ("wavefunction", "--xi-min"),
+    ("wavefunction", "--xi-max"), ("physics", "--photon-ev"), ("physics", "--plasma-ev"),
+    ("physics", "--density-cm3"), ("physics", "--intensity-wcm2"), ("scan", "--a"),
+    ("scan", "--pz"), ("scan", "--K"), ("verify", "--a"),
+]
+
+
+def test_float_option_list_is_complete():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    found, plain = set(), []
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.type is finite_float:
+                found.add((name, action.option_strings[0]))
+            elif action.type is float:
+                plain.append((name, action.option_strings[0]))
+    assert found == set(_FLOAT_OPTIONS)
+    assert plain == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command,option", _FLOAT_OPTIONS)
+def test_non_finite_float_option_exit2(tmp_path, capsys, command, option, bad):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *_BASE_ARGV[command], option, bad, "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_verify_pass(tmp_path):

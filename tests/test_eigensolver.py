@@ -318,8 +318,7 @@ def test_residual_check_rejects_non_finite_rows():
     sol = eigen_decompose(m)
     vecs = sol.eigenvectors.copy()
     vecs[2, 1] = np.nan
-    bad = SpectralSolution(m.parity, m.n, m.a, m.row_index_lo, m.row_index_hi,
-                           sol.eigenvalues.copy(), vecs, sol.refinement)
+    bad = SpectralSolution(m.parity, m.n, m.a, sol.eigenvalues.copy(), vecs, sol.refinement)
     with pytest.raises(NumericalFailureError, match="k=3"):
         _check_residuals(m, bad)
 

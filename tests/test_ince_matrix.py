@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from incewave.bessel import bilinear_weight_kernel, scaled_bessel_i_table
+from incewave.eigensolver import SpectralSolution, Tier
 from incewave.errors import InvalidArgumentError
-from incewave.ince_matrix import (Parity, build_even_matrix, build_odd_matrix,
-                                  char_poly_eval, char_poly_scaled)
+from incewave.ince_matrix import (Parity, build_even_matrix, build_matrix,
+                                  build_odd_matrix, char_poly_eval, char_poly_scaled)
+from incewave.polynomials import Branch, TrigPolynomial
 
 
 def test_even_n1_a5_entries():
@@ -101,6 +104,48 @@ def test_odd_invariants(n, a):
     np.testing.assert_array_equal(m.diag, (2.0 * m.row_indices + 1) ** 2)
     if a > 0 and n > 0:
         assert np.all(m.offdiag_products() > 0)
+
+
+def _per_family_reference(parity, n, a):
+    """The README's per-family formulas, with the layout each family used to
+    spell out: bands, frequencies, q, p_x, period and the kernel's sigma."""
+    if parity is Parity.EVEN:
+        r = np.arange(-n + 1, n + 1)
+        bands = ((4 * r * r).astype(float), (n + r[:-1]).astype(float) * a,
+                 (n - r[1:] + 1).astype(float) * a)
+        return bands, r.astype(float), r, 2 * n - 1, float(n), 2 * np.pi, 0
+    r = np.arange(-n, n + 1)
+    bands = (((2 * r + 1) ** 2).astype(float), (n + r[:-1] + 1).astype(float) * a,
+             (n - r[1:] + 1).astype(float) * a)
+    return bands, r + 0.5, r, 2 * n, n + 0.5, 4 * np.pi, 1
+
+
+@given(parity=st.sampled_from(list(Parity)), n=st.integers(0, 200),
+       a=st.one_of(st.just(0.0), st.floats(-12.0, 150.0).map(lambda e: 10.0**e)))
+@settings(max_examples=60, deadline=None)
+@example(Parity.ODD, 0, 0.0)
+@example(Parity.EVEN, 200, 1e150)
+@example(Parity.ODD, 200, 1e-12)
+def test_layout_matches_per_family_formulas(parity, n, a):
+    n = max(n, 1) if parity is Parity.EVEN else n
+    bands, freqs, rows, q, p_x, period, sigma = _per_family_reference(parity, n, a)
+    m = build_matrix(parity, n, a)
+    for got, want in zip((m.diag, m.super, m.sub), bands):
+        assert got.tobytes() == want.tobytes()
+    dim = freqs.size
+    shared = (m, SpectralSolution(parity, n, a, np.zeros(dim), np.eye(dim), Tier.DOUBLE),
+              TrigPolynomial(parity, Branch.PLUS, n, 1, a, 0.0, np.zeros(dim)))
+    for obj in shared:
+        assert obj.xi_frequencies.tobytes() == freqs.tobytes()
+        np.testing.assert_array_equal(obj.row_indices, rows)
+        assert (obj.dim, obj.q, obj.p_x, obj.period) == (dim, q, p_x, period)
+        assert (obj.row_index_lo, obj.row_index_hi) == (rows[0], rows[-1])
+    # kernel orders |r_i + r_j + sigma| and signs, as the kernel used to take them
+    ka = min(a, 1e3)
+    msum = rows[:, None] + rows[None, :] + sigma
+    table = scaled_bessel_i_table(int(np.abs(msum).max()), ka / 2.0)
+    want = np.where(msum % 2 == 0, 1.0, -1.0) * table[np.abs(msum)]
+    assert bilinear_weight_kernel(m.xi_frequencies, ka).tobytes() == want.tobytes()
 
 
 def test_char_poly_1x1_root():

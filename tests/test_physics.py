@@ -71,6 +71,17 @@ def test_ambiguous_and_invalid_inputs():
         derive_config(1.5, plasma_energy_ev=1.0, intensity_wcm2=-5.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["photon_energy_ev", "plasma_energy_ev",
+                                   "electron_density_cm3", "intensity_wcm2"])
+def test_non_finite_inputs_rejected(field, bad):
+    kwargs = {"photon_energy_ev": 1.563, "intensity_wcm2": 1e8}
+    kwargs["electron_density_cm3" if field == "electron_density_cm3" else "plasma_energy_ev"] = 1.0
+    kwargs[field] = bad
+    with pytest.raises(InvalidArgumentError, match=field):
+        derive_config(**kwargs)
+
+
 def test_dispersion_identities():
     cfg = derive_config(1.563, plasma_energy_ev=1.0, intensity_wcm2=1e8)
     # k_p = k_0 sqrt(1 - n_m^2)

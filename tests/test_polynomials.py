@@ -131,7 +131,7 @@ def test_ode_residual_figure_configuration(sol_n15):
 def test_ode_residual_eta_shift_linearity(sol_n15):
     p = make_polynomial(sol_n15, 5)
     shifted = TrigPolynomial(p.parity, p.branch, p.n, p.k, p.a,
-                             p.eta + 1.0, p.coeffs.copy(), p.q)
+                             p.eta + 1.0, p.coeffs.copy())
     zs = np.linspace(-1, 1, 9)
     f = np.array([evaluate(p, 2 * z) for z in zs])
     res = ode_residual(shifted, zs)
@@ -147,7 +147,7 @@ def test_residual_is_fourier_image_of_matrix_action():
     n, a, eta = 3, 4.5, 7.25
     m = build_even_matrix(n, a)
     d = rng_d / np.linalg.norm(rng_d)
-    p = TrigPolynomial(m.parity, Branch.PLUS, n, 1, a, eta, d, 2 * n - 1)
+    p = TrigPolynomial(m.parity, Branch.PLUS, n, 1, a, eta, d)
     image = (eta * np.eye(m.dim) - m.to_dense()) @ d
     zs = np.linspace(-0.9, 2.3, 17)
     rs = m.row_indices
@@ -160,7 +160,7 @@ def test_residual_fourier_image_odd():
     n, a, eta = 2, 3.0, -2.0
     m = build_odd_matrix(n, a)
     d = rng_d / np.linalg.norm(rng_d)
-    p = TrigPolynomial(m.parity, Branch.PLUS, n, 1, a, eta, d, 2 * n)
+    p = TrigPolynomial(m.parity, Branch.PLUS, n, 1, a, eta, d)
     image = (eta * np.eye(m.dim) - m.to_dense()) @ d
     zs = np.linspace(-1.1, 1.7, 11)
     rs = m.row_indices

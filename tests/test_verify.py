@@ -81,7 +81,7 @@ def test_normalization_check():
         assert normalization_check(make_polynomial(sol2, k)) == pytest.approx(1.0, abs=1e-12)
     # quadratic homogeneity: doubling the coefficients quadruples the integral
     p2 = TrigPolynomial(p.parity, p.branch, p.n, p.k, p.a, p.eta,
-                        2.0 * p.coeffs, p.q)
+                        2.0 * p.coeffs)
     assert normalization_check(p2) == pytest.approx(4.0, abs=1e-12)
 
 

@@ -62,6 +62,22 @@ def test_series_negative_lmax_rejected():
         prefactor_series(1.0, -1)
 
 
+def test_prefactor_overflow_raises():
+    # e^(a/4) at xi = pi: e^700 is a finite float, e^1250 is not
+    assert prefactor(2800.0, np.pi) == pytest.approx(math.exp(700.0), rel=1e-13)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        prefactor(5000.0, np.pi)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        prefactor(5000.0, np.array([0.0, 3.0, np.pi]))
+    assert np.all(np.isfinite(prefactor(5000.0, np.array([0.0, 1.0]))))
+
+
+def test_scalar_wavefunction_inherits_prefactor_check():
+    s = _scalar(a=5000.0)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        scalar_wavefunction(s, np.pi * s.kp / s.k0, 0.0, 0.0, 0.0)
+
+
 def test_large_a_peak_train():
     # for a >> 1 the profile concentrates at xi = pi (mod 2 pi)
     a = 120.0
