@@ -28,7 +28,7 @@ from .ince_matrix import Parity, build_matrix
 from .physics import derive_config, momentum_spectrum
 from .polynomials import evaluate, harmonic_strengths, make_polynomial
 from .verify import verification_report
-from .wavefunction import prefactor
+from .wavefunction import polynomial_with_prefactor
 
 # ----------------------------------------------------------------------
 # Deterministic serialization
@@ -173,11 +173,7 @@ def cmd_wavefunction(args) -> int:
         return 2
     p = make_polynomial(sol, k)
     xis = np.linspace(args.xi_min, args.xi_max, args.points)
-    vals = evaluate(p, xis)
-    if args.with_prefactor:
-        vals = vals * prefactor(args.a, xis)
-        if not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError(f"prefactor times polynomial overflows at a={args.a}")
+    vals = polynomial_with_prefactor(p, xis) if args.with_prefactor else evaluate(p, xis)
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
               "eta": args.eta, "eta_tol": args.eta_tol, "xi_min": args.xi_min,
               "xi_max": args.xi_max, "points": args.points,

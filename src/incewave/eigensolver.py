@@ -1,33 +1,37 @@
 """Spectral decomposition of the coupling matrices.
 
-Both tiers start from one LAPACK call: numpy.linalg.eigh on the dense
-symmetrized matrix gives all float64 eigenvalues, which are the double-tier
-values, and starting vectors. The extended tier refines each value in
-double-double arithmetic on the leading-principal-minor recurrence, which
-only involves the super*sub products and therefore works directly on the
-unsymmetric matrix. The number of eigenvalues below a shift equals the
-number of sign changes along it (the Sturm count), and the same pass carries
-the characteristic polynomial with its first two derivatives. Each LAPACK
-value is bracketed at 64 ulps of the spectral scale, the brackets are
-confirmed by Sturm counts, and steps to the root of a local quadratic model
-of the polynomial finish the value in a few passes while the counts tighten
-the brackets. Every result is certified by Sturm counts 1e-26 of the scale
-to either side of it; bisection on the counts takes over for any label that
-is not. The compensated recurrence resolves eigenvalue pairs splitting
-around the 12th significant digit, below one ulp of the values themselves.
+The eigenvalue stage of both tiers runs on one problem per solve, the matrix
+scaled by an exact power of two (_scaled_problem); its eigenvalues are scaled
+back once. Below the ceiling of 2**1020 on its entries nothing overflows.
+
+One LAPACK call, numpy.linalg.eigh on the dense symmetrized problem, gives
+all float64 eigenvalues, which are the double-tier values, and starting
+vectors. The extended tier refines each value in double-double arithmetic on
+the leading-principal-minor recurrence, which only involves the super*sub
+products. The number of eigenvalues below a shift equals the number of sign
+changes along it (the Sturm count), and the same pass carries the
+characteristic polynomial with its first two derivatives. Each LAPACK value
+is bracketed at 64 ulps of the spectral scale, the brackets are confirmed by
+Sturm counts, and steps to the root of a local quadratic model of the
+polynomial finish the value in a few passes while the counts tighten the
+brackets. Every result is certified by Sturm counts 1e-26 of the scale to
+either side of it; bisection on the counts takes over for any label that is
+not. The compensated recurrence resolves eigenvalue pairs splitting around
+the 12th significant digit, below one ulp of the values themselves.
 sturm_count counts sign changes along the float64 minors of
 ince_matrix.scaled_minors.
 
-Eigenvectors come from two sweeps of inverse iteration on the symmetrized
-matrix at the final shifts, all eigenvalues solved at once and each
-near-degenerate cluster re-orthonormalized after every sweep. Each cluster is
-then rotated, still in the symmetric basis, where the true vectors are
-orthonormal (in coefficient space a pair's overlap by ~0.5), to diagonalize
-the weighted bilinear Gram form of its coefficient vectors. That recovers the
-correct pair members even when the splitting is below arithmetic resolution;
-members are matched to eigenvalues by the compensated two-sided Rayleigh
-quotient, compared as (hi, lo) pairs. The vectors are then mapped back
-through the diagonal similarity scaling, D = v / d.
+Eigenvectors, in the matrix's own units, come from two sweeps of inverse
+iteration on the symmetrized matrix at the final shifts, all eigenvalues
+solved at once and each near-degenerate cluster re-orthonormalized after
+every sweep. Each cluster is then rotated, still in the symmetric basis,
+where the true vectors are orthonormal (in coefficient space a pair's
+overlap by ~0.5), to diagonalize the weighted bilinear Gram form of its
+coefficient vectors. That recovers the correct pair members even when the
+splitting is below arithmetic resolution; members are matched to eigenvalues
+by the compensated two-sided Rayleigh quotient, compared as (hi, lo) pairs.
+The vectors are then mapped back through the diagonal similarity scaling,
+D = v / d.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ _CLUSTER_RELGAP = 1e-4
 # miss the pair-member assignment, and one sweep leaves the odd n=15, a=12
 # top pair (split 1.95e-13) further from a 60-digit reference than two do.
 _SWEEPS = 2
+
+# Ceiling on the matrix entries max(|diag|, sqrt(super*sub)). Below it the
+# eigenvalues (under 3x the ceiling), their residuals and the tolerances
+# stay inside float range in the matrix's units.
+_MAX_SCALE = 2.0**1020
 
 
 class Tier(Enum):
@@ -100,14 +109,33 @@ def symmetrize(m: TridiagonalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrizing data: off-diagonals c_j = sqrt(super_j*sub_j) and the
     positive diagonal scaling d (d[0] = 1) with diag(d) m diag(d)^-1
     symmetric. A vector v of the symmetric matrix maps back to D = v / d."""
-    g = m.offdiag_products()
-    if np.any(g < 0):
-        raise NumericalFailureError("off-diagonal products must be >= 0 for a valid matrix")
-    c = np.sqrt(g)
+    _, c, _, e = _scaled_problem(m)
+    return np.ldexp(c, e), _similarity_scale(m)
+
+
+def _similarity_scale(m: TridiagonalMatrix) -> np.ndarray:
     d = np.ones(m.dim)
     if m.a > 0 and m.dim > 1:
         d[1:] = np.cumprod(np.sqrt(m.super / m.sub))
-    return c, d
+    return d
+
+
+def _scaled_problem(m: TridiagonalMatrix):
+    """(diag, c, g_dd, e): the matrix scaled by 2**-e, with 2**e just above
+    max(|diag|, sqrt(super*sub)), as its diagonal, its symmetrized
+    off-diagonals sqrt(super*sub) and its super*sub products as exact
+    double-double values. Entries at or above _MAX_SCALE raise
+    InvalidArgumentError."""
+    size = max(float(np.max(np.abs(m.diag))),
+               float(np.max(np.sqrt(np.abs(m.super)) * np.sqrt(np.abs(m.sub)), initial=0.0)))
+    if not size < _MAX_SCALE:
+        raise InvalidArgumentError(f"matrix entries reach {size:.4g}, above the solver's "
+                                   f"ceiling 2**1020 = {_MAX_SCALE:.4g}: a is too large")
+    e = math.frexp(size)[1]
+    g_dd = ddc.two_prod(np.ldexp(m.super, -e), np.ldexp(m.sub, -e))
+    if np.any(g_dd[0] < 0):
+        raise NumericalFailureError("off-diagonal products must be >= 0 for a valid matrix")
+    return np.ldexp(m.diag.astype(float), -e), np.sqrt(g_dd[0]), g_dd, e
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +151,7 @@ _UP = 2.0**600
 
 # Half-width of the extended tier's seed brackets around the LAPACK values,
 # and the width its results are certified to, both relative to the spectral
-# scale max(1, max|eta|).
+# scale max|eta|.
 _SEED_PAD = 64 * _EPS
 _TARGET = 1e-26
 # Newton-type passes of _refine_dd before a label is handed to bisection;
@@ -181,27 +209,14 @@ def sturm_count(m: TridiagonalMatrix, eta: float) -> int:
     return int(cnt)
 
 
-def _gershgorin(m: TridiagonalMatrix) -> tuple[float, float]:
-    c = np.sqrt(m.offdiag_products())
-    radius = np.zeros(m.dim)
+def _gershgorin(diag: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    radius = np.zeros(diag.size)
     radius[:-1] += c
     radius[1:] += c
-    lo = float(np.min(m.diag - radius))
-    hi = float(np.max(m.diag + radius))
-    pad = 1e-8 * max(1.0, abs(lo), abs(hi)) + 1.0
+    lo = float(np.min(diag - radius))
+    hi = float(np.max(diag + radius))
+    pad = 1e-8 * max(abs(lo), abs(hi))
     return lo - pad, hi + pad
-
-
-def _dd_problem(m: TridiagonalMatrix):
-    """(diag, g_dd, e): the matrix scaled by 2**-e, with 2**e just above
-    max(|diag|, sqrt(super*sub)), and its super*sub products as exact
-    double-double values. The scaling is exact and keeps the double-double
-    minors inside float range at extreme a, where the products g*p of the
-    unscaled recurrence overflow."""
-    size = max(float(np.max(np.abs(m.diag))), float(np.max(np.sqrt(m.super) * np.sqrt(m.sub))))
-    e = math.frexp(size)[1]
-    g_dd = ddc.two_prod(np.ldexp(m.super, -e), np.ldexp(m.sub, -e))
-    return np.ldexp(m.diag.astype(float), -e), g_dd, e
 
 
 def _bisect_dd(diag, g_dd, loh, lol, hih, hil, ks, target, max_iter=160):
@@ -305,35 +320,34 @@ def _refine_dd(diag, g_dd, ks, x0, loh, hih, target):
     return out[0], out[1]
 
 
-def _eigenvalues_dd(m: TridiagonalMatrix, seeds: np.ndarray,
+def _eigenvalues_dd(problem, seeds: np.ndarray,
                     idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Extended-tier eigenvalues at the ascending indices idx (all by
-    default), seeded from the ascending float64 estimates seeds.
+    """Extended-tier eigenvalues of the scaled problem (_scaled_problem) at
+    the ascending indices idx (all by default), seeded from its ascending
+    float64 estimates seeds; (hi, lo) arrays in the problem's units.
 
     Each seed is bracketed at +-64 ulps of the spectral scale; one count pass
     over both ends confirms the brackets, and an end that fails (float64
     rounding bias) falls back to the Gershgorin interval."""
-    idx = np.arange(m.dim) if idx is None else np.asarray(idx)
+    diag, c, g_dd, e = problem
+    idx = np.arange(diag.size) if idx is None else np.asarray(idx)
     ks = idx + 1
-    diag, g_dd, e = _dd_problem(m)
-    scale = max(1.0, float(np.max(np.abs(seeds))))
-    x0 = np.ldexp(seeds[idx], -e)
-    pad = math.ldexp(_SEED_PAD * scale, -e)
-    loh, hih = x0 - pad, x0 + pad
+    scale = float(np.max(np.abs(seeds)))
+    x0 = seeds[idx]
+    loh, hih = x0 - _SEED_PAD * scale, x0 + _SEED_PAD * scale
     cnt = _count_dd(diag, g_dd, np.concatenate([loh, hih]), 0.0)
-    glo, ghi = (math.ldexp(b, -e) for b in _gershgorin(m))
+    glo, ghi = _gershgorin(diag, c)
     loh = np.where(cnt[:idx.size] > ks - 1, glo, loh)
     hih = np.where(cnt[idx.size:] < ks, ghi, hih)
-    eh, el = _refine_dd(diag, g_dd, ks, x0, loh, hih, math.ldexp(_TARGET * scale, -e))
-    eh, el = np.ldexp(eh, e), np.ldexp(el, e)
+    eh, el = _refine_dd(diag, g_dd, ks, x0, loh, hih, _TARGET * scale)
     # a refined value far outside its seed bracket means the compensated
     # recurrence broke down
-    stray = np.abs((eh + el) - seeds[idx]) > 1e-8 * scale
+    stray = np.abs((eh + el) - x0) > 1e-8 * scale
     if np.any(stray):
         i = int(np.argmax(stray))
         raise NumericalFailureError(
-            f"double-double refinement moved eigenvalue label k={m.dim - int(idx[i])} "
-            f"from {float(seeds[idx[i]])!r} to {float(eh[i] + el[i])!r}")
+            f"double-double refinement moved eigenvalue label k={diag.size - int(idx[i])} "
+            f"from {math.ldexp(x0[i], e)!r} to {math.ldexp(eh[i] + el[i], e)!r}")
     return eh, el
 
 
@@ -342,11 +356,11 @@ def _eigenvalues_dd(m: TridiagonalMatrix, seeds: np.ndarray,
 # ----------------------------------------------------------------------
 
 
-def _lapack_eigh(m: TridiagonalMatrix, c: np.ndarray):
+def _lapack_eigh(diag: np.ndarray, c: np.ndarray):
     """Ascending float64 eigenvalues and unit column eigenvectors of the
-    symmetrized matrix, from LAPACK through numpy.linalg.eigh."""
-    t = np.diag(m.diag.astype(float))
-    i = np.arange(m.dim - 1)
+    symmetric tridiagonal (diag, c), from LAPACK through numpy.linalg.eigh."""
+    t = np.diag(diag)
+    i = np.arange(diag.size - 1)
     t[i, i + 1] = c
     t[i + 1, i] = c
     try:
@@ -395,9 +409,11 @@ def _solve_shifted(dshift, e, rhs):
 def _inverse_sweeps(dsym, c, mu, v, clusters):
     """Inverse iteration at the shifts mu (descending) for all columns of v at
     once, re-orthonormalized within every cluster after each sweep. A column
-    whose solve does not stay finite keeps its previous vector."""
+    whose solve does not stay finite (near the top of the float range) keeps
+    its previous vector."""
     for _ in range(_SWEEPS):
-        w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
         norm = np.linalg.norm(w, axis=0)
         ok = np.isfinite(norm) & (norm > 0)
         w = np.where(ok, w / np.where(ok, norm, 1.0), v)
@@ -409,7 +425,7 @@ def _inverse_sweeps(dsym, c, mu, v, clusters):
 
 
 def _cluster_slices(vals_desc: np.ndarray) -> list[slice]:
-    scale = max(1.0, float(np.max(np.abs(vals_desc))))
+    scale = float(np.max(np.abs(vals_desc)))
     out = []
     i = 0
     while i < vals_desc.size:
@@ -490,11 +506,7 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     dim = m.dim
     want_lo = tier is Tier.EXTENDED
 
-    if dim == 1:
-        return SpectralSolution(m.parity, m.n, m.a, np.array([float(m.diag[0])]), np.ones((1, 1)),
-                                tier, np.zeros(1) if want_lo else None)
-
-    if m.a == 0:
+    if m.a == 0 or dim == 1:
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
         vecs = _rotate_clusters(m, _cluster_slices(vals), np.eye(dim)[:, order], np.ones(dim))
@@ -502,20 +514,19 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
         return SpectralSolution(m.parity, m.n, m.a, vals, vecs, tier,
                                 np.zeros(dim) if want_lo else None)
 
-    c, dscale = symmetrize(m)
-    asc, v = _lapack_eigh(m, c)
+    diag, c, _, e = problem = _scaled_problem(m)
+    asc, v = _lapack_eigh(diag, c)
+    asc_lo = np.zeros(dim)
     if want_lo:
-        eh, el = _eigenvalues_dd(m, asc)
+        eh, el = _eigenvalues_dd(problem, asc)
         asc = eh + el  # best float64 rounding of the compensated value
         asc_lo = (eh - asc) + el
-    else:
-        asc_lo = np.zeros(dim)
-
-    vals_desc = asc[::-1].copy()
-    vlo_desc = asc_lo[::-1].copy()
+    vals_desc = np.ldexp(asc[::-1], e)
+    vlo_desc = np.ldexp(asc_lo[::-1], e)
+    dscale = _similarity_scale(m)
 
     clusters = _cluster_slices(vals_desc)
-    v = _inverse_sweeps(m.diag.astype(float), c, vals_desc, v[:, ::-1], clusters)
+    v = _inverse_sweeps(m.diag.astype(float), np.ldexp(c, e), vals_desc, v[:, ::-1], clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
     vecs = (v / dscale[:, None]).T
     norm = np.sqrt(np.sum(vecs**2, axis=1))
@@ -555,8 +566,9 @@ def refine_eigenvalue(m: TridiagonalMatrix, eta0: float,
     by Sturm count, otherwise InvalidBracketError is raised, and that
     eigenvalue is the one refined. The refinement is the extended tier's: a
     few quadratic-model steps in compensated arithmetic from the LAPACK value,
-    certified by Sturm counts to 1e-26 * max(1, max|eta|), with bisection as
-    the fallback.
+    certified by Sturm counts to 1e-26 * max|eta|, with bisection as the
+    fallback. At a = 0 (and at dimension 1) the eigenvalues are the diagonal,
+    and the bracket is counted on it exactly.
     """
     eh, el = refine_eigenvalue_dd(m, eta0, bracket)
     return eh + el
@@ -568,26 +580,27 @@ def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
     eta0 = float(eta0)
     if not math.isfinite(eta0):
         raise InvalidArgumentError("eta0 must be finite")
-    if m.dim == 1:
-        return float(m.diag[0]), 0.0
-    if m.a == 0:
-        return float(m.diag[np.argmin(np.abs(m.diag - eta0))]), 0.0
-    asc = _lapack_eigh(m, symmetrize(m)[0])[0]
+    if m.a == 0 or m.dim == 1:  # the diagonal holds the eigenvalues
+        problem, asc, e = None, np.sort(m.diag.astype(float)), 0
+    else:
+        problem = _scaled_problem(m)
+        asc, e = _lapack_eigh(*problem[:2])[0], problem[3]
     if bracket is None:
-        eh, el = _eigenvalues_dd(m, asc, [int(np.argmin(np.abs(asc - eta0)))])
-        return float(eh[0]), float(el[0])
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
-    diag, g_dd, e = _dd_problem(m)
-    nlo, nhi = _count_dd(diag, g_dd, [math.ldexp(lo, -e), math.ldexp(hi, -e)], 0.0)
-    if nhi - nlo != 1:
-        raise InvalidBracketError(
-            f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1"
-        )
-    scale = max(1.0, float(np.max(np.abs(asc))))
-    eh, el = _refine_dd(diag, g_dd, np.array([nlo + 1]), np.ldexp([min(max(asc[nlo], lo), hi)], -e),
-                        np.ldexp([lo], -e), np.ldexp([hi], -e), math.ldexp(_TARGET * scale, -e))
+        i = int(np.argmin(np.abs(asc - math.ldexp(eta0, -e))))
+    else:
+        lo, hi = (float(b) for b in bracket)
+        if not lo < hi:
+            raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
+        ends = np.ldexp([lo, hi], -e)  # in the problem's units; exact
+        nlo, nhi = (np.searchsorted(asc, ends) if problem is None
+                    else _count_dd(problem[0], problem[2], ends, 0.0))
+        if nhi - nlo != 1:
+            raise InvalidBracketError(
+                f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1")
+        i = int(nlo)
+    if problem is None:
+        return float(asc[i]), 0.0
+    eh, el = _eigenvalues_dd(problem, asc, [i])
     return math.ldexp(float(eh[0]), e), math.ldexp(float(el[0]), e)
 
 
@@ -598,12 +611,12 @@ def eigenvector_for(m: TridiagonalMatrix, eta: float) -> np.ndarray:
     eigenvalue; anything farther raises InvalidArgumentError.
     """
     eta = float(eta)
+    if not math.isfinite(eta):
+        raise InvalidArgumentError("eta must be finite")
     tol = 1e-10 * (abs(eta) + m.a * m.dim + 1.0)
-    refined = refine_eigenvalue(m, eta)
-    if abs(refined - eta) > tol:
-        raise InvalidArgumentError(
-            f"eta={eta!r} is not within {tol:.3e} of an eigenvalue (nearest: {refined!r})"
-        )
     sol = eigen_decompose(m, Tier.DOUBLE)
-    k = int(np.argmin(np.abs(sol.eigenvalues - refined)))
+    k = int(np.argmin(np.abs(sol.eigenvalues - eta)))
+    if abs(sol.eigenvalues[k] - eta) > tol:
+        raise InvalidArgumentError(f"eta={eta!r} is not within {tol:.3e} of an eigenvalue "
+                                   f"(nearest: {float(sol.eigenvalues[k])!r})")
     return sol.eigenvectors[k].copy()

@@ -136,8 +136,12 @@ def _layout_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
     a = _check_a(a)
     layout = HarmonicLayout(parity, int(n))
     f = layout.xi_frequencies
-    return TridiagonalMatrix(parity, layout.n, a, 4.0 * f * f,
-                             (layout.p_x + f[:-1]) * a, (layout.p_x - f[:-1]) * a)
+    with np.errstate(over="ignore"):
+        sup, sub = (layout.p_x + f[:-1]) * a, (layout.p_x - f[:-1]) * a
+    if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(sub))):
+        raise InvalidArgumentError(f"a={a} is too large for n={layout.n}: the coupling "
+                                   f"(2 p_x - 1) a exceeds the float range")
+    return TridiagonalMatrix(parity, layout.n, a, 4.0 * f * f, sup, sub)
 
 
 def build_even_matrix(n: int, a: float) -> TridiagonalMatrix:

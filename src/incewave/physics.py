@@ -104,6 +104,8 @@ def plasma_energy_from_density(n_e_cm3: float) -> float:
     if n_e_cm3 <= 0:
         raise InvalidArgumentError("electron density must be positive")
     w_p = math.sqrt(n_e_cm3 * 1e6 * _E**2 / (_EPSILON_0 * _M_E))
+    if w_p == 0:
+        raise InvalidArgumentError(f"electron density {n_e_cm3} cm^-3 gives a plasmon energy of 0")
     return w_p * _HBAR_EVS
 
 
@@ -112,7 +114,11 @@ def density_from_plasma_energy(e_p_ev: float) -> float:
     if e_p_ev <= 0:
         raise InvalidArgumentError("plasma energy must be positive")
     w_p = e_p_ev / _HBAR_EVS
-    return _EPSILON_0 * _M_E * w_p**2 / _E**2 / 1e6
+    try:
+        return _EPSILON_0 * _M_E * w_p**2 / _E**2 / 1e6
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"plasma energy {e_p_ev} eV gives an electron density beyond float range") from None
 
 
 def peak_field_vm(intensity_wcm2: float) -> float:
@@ -134,7 +140,8 @@ def derive_config(photon_energy_ev: float,
     """Build the full parameter set from laboratory inputs.
 
     Exactly one of plasma_energy_ev / electron_density_cm3 must be given, and
-    the photon energy must exceed the plasmon energy (underdense medium).
+    the photon energy must exceed the plasmon energy (underdense medium). A
+    derived value that is not finite raises InvalidArgumentError naming it.
     """
     given = {"photon_energy_ev": photon_energy_ev, "plasma_energy_ev": plasma_energy_ev,
              "electron_density_cm3": electron_density_cm3, "intensity_wcm2": intensity_wcm2}
@@ -179,7 +186,7 @@ def derive_config(photon_energy_ev: float,
     nph_fp = s_val * 1e4 / (_C * photon_energy_ev * _E) / 1e6
     a_fp = 4.0 * _E * f0 * _C / (photon_energy_ev * _E * wp)
 
-    return PhysicalConfig(
+    cfg = PhysicalConfig(
         photon_energy_ev=float(photon_energy_ev),
         plasma_energy_ev=float(plasma_energy_ev),
         electron_density_cm3=float(electron_density_cm3),
@@ -189,6 +196,10 @@ def derive_config(photon_energy_ev: float,
         mass_shift_ratio=mass_shift(mu0_fp),
         mu0_handbook=mu0_hand, n_ph_handbook_cm3=nph_hand, a_handbook=a_hand,
     )
+    for name, value in [*vars(cfg).items(), ("kappa_scaled", cfg.kappa_scaled)]:
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"derived {name} is not finite ({value}) for these inputs")
+    return cfg
 
 
 def coupling_forms(cfg: PhysicalConfig) -> tuple[float, float, float, float]:
@@ -242,7 +253,10 @@ def momentum_spectrum(sol: SpectralSolution, pz_scaled: float = 0.0,
         raise InvalidArgumentError("kappa_scaled must be >= 0")
     a = sol.a
     qp1 = 2 * sol.p_x
-    threshold = (a / 2.0) ** 2
+    try:
+        threshold = (a / 2.0) ** 2
+    except OverflowError:
+        raise InvalidArgumentError(f"the mass-shell threshold (a/2)**2 overflows at a={a}") from None
     records = []
     for i, eta in enumerate(np.asarray(sol.eigenvalues, dtype=float)):
         eta = float(eta)

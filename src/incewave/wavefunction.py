@@ -28,9 +28,9 @@ from .errors import EvanescentSolutionError, InvalidArgumentError, InvalidConfig
 from .polynomials import Branch, TrigPolynomial, evaluate
 
 __all__ = [
-    "SpinorSlot", "ScalarSolution", "x_hat", "prefactor", "modified_bessel_i",
-    "prefactor_series", "series_truncation_order", "prefactor_series_sum",
-    "scalar_wavefunction",
+    "SpinorSlot", "ScalarSolution", "x_hat", "prefactor", "polynomial_with_prefactor",
+    "modified_bessel_i", "prefactor_series", "series_truncation_order",
+    "prefactor_series_sum", "scalar_wavefunction",
 ]
 
 
@@ -106,6 +106,16 @@ def prefactor(a: float, xi):
     return np.exp(expo)
 
 
+def polynomial_with_prefactor(p: TrigPolynomial, xi):
+    """exp(-(a/4) cos xi) f(xi) for the polynomial f = p. Raises
+    InvalidArgumentError where the prefactor or the product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = prefactor(p.a, xi) * evaluate(p, xi)
+    if not np.all(np.isfinite(val)):
+        raise InvalidArgumentError(f"prefactor times polynomial overflows at a={p.a}")
+    return val
+
+
 def series_truncation_order(a: float) -> int:
     """Cosine-series order guaranteeing ~1e-10 * e^(a/4) truncation error."""
     half = a / 2.0
@@ -162,5 +172,5 @@ def scalar_wavefunction(sol: ScalarSolution, ct, x, y, z_coord,
     else:
         transverse = np.exp(1j * ph.real * xhat)
     phase = np.exp(1j * (sol.p_x * x + sol.p_z * z_coord))
-    val = transverse * phase * prefactor(sol.polynomial.a, xi) * evaluate(sol.polynomial, xi)
+    val = transverse * phase * polynomial_with_prefactor(sol.polynomial, xi)
     return val if np.ndim(val) else complex(val)

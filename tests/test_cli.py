@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -138,6 +139,38 @@ def test_wavefunction_prefactor_overflow_exit2(tmp_path, capsys, a, eta):
     assert code == 2
     assert not out.exists()
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--parity", "even", "--n", "5", "--a", "1e308"],
+    ["scan", "--parity", "odd", "--n-min", "3", "--n-max", "3", "--a", "1e200"],
+    ["physics", "--photon-ev", "2", "--plasma-ev", "1", "--intensity-wcm2", "1e308"],
+    ["physics", "--photon-ev", "1e300", "--plasma-ev", "1", "--intensity-wcm2", "1e300"],
+])
+def test_overflowing_inputs_exit2(tmp_path, capsys, argv):
+    # a typed error, one line, no output file and no numpy warning
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parity,n,a,tier", [("even", 5, "1e200", "double"),
+                                              ("even", 5, "1e200", "extended"),
+                                              ("odd", 3, "1e300", "extended")])
+def test_spectrum_at_huge_a(tmp_path, capsys, parity, n, a, tier):
+    # exit 0, nothing on stderr and no numpy warning; the inverse sweeps of
+    # the last case overflow and keep the LAPACK vectors
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "spectrum", "--parity", parity, "--n", str(n), "--a", a,
+                   "--tier", tier, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert len(json.loads(out.read_text())["data"]["eigenvalues"]) == 2 * n + (parity == "odd")
 
 
 def test_wavefunction_strengths_sum(tmp_path):

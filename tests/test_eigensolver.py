@@ -251,10 +251,11 @@ def test_double_tier_eigenvalues_certified_by_sturm_count(parity, n, log_a):
     # stage that eigen_decompose returns at the double tier; eigen_decompose
     # itself is not called, as its cluster rotation still fails for part of
     # this range (dimension >= 40 with a >= ~30).
-    from incewave.eigensolver import _lapack_eigh
+    from incewave.eigensolver import _lapack_eigh, _scaled_problem
 
     m = build_even_matrix(n, 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
-    vals = _lapack_eigh(m, symmetrize(m)[0])[0]
+    diag, c, _, e = _scaled_problem(m)
+    vals = np.ldexp(_lapack_eigh(diag, c)[0], e)
     assert np.all(np.diff(vals) >= 0)
     wide = np.flatnonzero(np.diff(vals) > 1e-8 * max(1.0, float(np.max(np.abs(vals)))))
     for i in wide:
@@ -422,13 +423,12 @@ def test_extended_values_certified_and_match_bisection(parity, n, log_a):
     # count(x + target), and within target of plain bisection from the same
     # seed brackets; both in the solver's power-of-two scaled units
     m = build_even_matrix(n, 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
-    seeds = es._lapack_eigh(m, symmetrize(m)[0])[0]
+    problem = es._scaled_problem(m)
+    seeds = es._lapack_eigh(*problem[:2])[0]
     with mock.patch.object(es, "_refine_dd", wraps=es._refine_dd) as spy:
-        eh, el = es._eigenvalues_dd(m, seeds)
+        xh, xl = es._eigenvalues_dd(problem, seeds)
     diag, g_dd, ks, _, loh, hih, target = spy.call_args.args
-    e = es._dd_problem(m)[2]
-    assert target == math.ldexp(1e-26 * max(1.0, float(np.max(np.abs(seeds)))), -e)
-    xh, xl = np.ldexp(eh, -e), np.ldexp(el, -e)
+    assert target == 1e-26 * float(np.max(np.abs(seeds)))
     assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, -target, 0.0)) <= ks - 1)
     assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, target, 0.0)) >= ks)
     zero = np.zeros(ks.shape)
@@ -467,8 +467,8 @@ def test_extended_pairs_below_seed_error_take_few_passes(builder, n, a):
 
 def test_bisection_raises_when_out_of_iterations():
     m = build_even_matrix(15, 12.0)
-    diag, g_dd, e = es._dd_problem(m)
-    lo, hi = (np.array([math.ldexp(b, -e)]) for b in es._gershgorin(m))
+    diag, c, g_dd, _ = es._scaled_problem(m)
+    lo, hi = (np.array([b]) for b in es._gershgorin(diag, c))
     with pytest.raises(NumericalFailureError, match=r"label k=26 .* bracket width"):
         es._bisect_dd(diag, g_dd, lo, np.zeros(1), hi, np.zeros(1), np.array([5]), 1e-26,
                       max_iter=5)
@@ -497,3 +497,56 @@ def test_refine_with_and_without_bracket_agree(sol_n15_extended):
         free = refine_eigenvalue_dd(m, seeds[k - 1])
         assert refine_eigenvalue_dd(m, seeds[k - 1], bracket=(edges[k], edges[k - 1])) == free
         assert free == sol_n15_extended.eigenvalue_dd(k), f"k={k}"
+
+
+def test_bracket_checked_on_the_diagonal():
+    # at a = 0 (even n=3: 16, 4, 0, 4, 16, 36) and at dimension 1 the
+    # bracket is counted exactly on the diagonal, as it is by Sturm counts
+    # for a > 0
+    free = build_even_matrix(3, 0.0)
+    for bracket in [(100.0, 200.0), (10.0, 5.0), (3.0, 5.0), (15.0, 17.0)]:
+        with pytest.raises(InvalidBracketError):
+            refine_eigenvalue(free, 5.0, bracket=bracket)
+    with pytest.raises(InvalidBracketError):
+        refine_eigenvalue(build_odd_matrix(0, 3.0), 5.0, bracket=(100.0, 200.0))
+    assert refine_eigenvalue(free, 5.0, bracket=(35.0, 37.0)) == 36.0
+    assert refine_eigenvalue(free, 5.0, bracket=(-1.0, 1.0)) == 0.0
+    assert refine_eigenvalue(build_odd_matrix(0, 3.0), 5.0, bracket=(0.5, 1.5)) == 1.0
+
+
+def _su2_asymptote(m):
+    # eta ~ 2 a mu + 2 (j (j+1) - mu**2) + 1 for mu = j .. -j, j = p_x - 1/2
+    # (Turbiner, Commun. Math. Phys. 118 (1988) 467); independent of the solver
+    j = m.p_x - 0.5
+    mu = j - np.arange(m.dim)
+    return 2.0 * m.a * mu + 2.0 * (j * (j + 1.0) - mu**2) + 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("n", [1, 5, 20])
+@pytest.mark.parametrize("tier", [Tier.DOUBLE, Tier.EXTENDED])
+@pytest.mark.parametrize("builder", [build_even_matrix, build_odd_matrix])
+def test_su2_asymptote_at_large_a(builder, tier, n, a):
+    # LAPACK and the refinement run on the matrix scaled by a power of two,
+    # so a up to 1e300 solves, without a numpy warning, and passes the
+    # residual check
+    m = builder(n, a)
+    sol = eigen_decompose(m, tier)
+    ref = _su2_asymptote(m)
+    scale = float(np.max(np.abs(sol.eigenvalues)))
+    np.testing.assert_array_less(np.abs(sol.eigenvalues - ref), 1e-14 * scale)
+    if a == 1e200:
+        got = np.array([refine_eigenvalue(m, x) for x in ref])
+        np.testing.assert_array_less(np.abs(got - ref), 1e-14 * scale)
+
+
+def test_solver_ceiling():
+    # entries up to 2**1020 solve; above it the solve refuses a, and the
+    # builder refuses bands beyond the float range
+    m = build_even_matrix(1, 1e307)
+    assert eigen_decompose(m).eigenvalues[0] == pytest.approx(1e307, rel=1e-15)
+    with pytest.raises(InvalidArgumentError, match="too large"):
+        eigen_decompose(build_even_matrix(5, 1e307))
+    with pytest.raises(InvalidArgumentError, match="too large"):
+        refine_eigenvalue(build_even_matrix(5, 1e307), 0.0)

@@ -209,3 +209,13 @@ def test_rows_immutable():
     m = build_even_matrix(2, 1.0)
     with pytest.raises(ValueError):
         m.diag[0] = 99.0
+
+
+@pytest.mark.parametrize("builder,n,a", [(build_even_matrix, 5, 1e308),
+                                         (build_odd_matrix, 1, 1.7e308),
+                                         (build_even_matrix, 1000, 1e306)])
+def test_band_beyond_float_range_rejected(builder, n, a):
+    # the largest coupling is (2 p_x - 1) a
+    with pytest.raises(InvalidArgumentError, match="too large"):
+        builder(n, a)
+    assert np.all(np.isfinite(builder(n, a / (2 * n + 1)).super))

@@ -82,6 +82,19 @@ def test_non_finite_inputs_rejected(field, bad):
         derive_config(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"photon_energy_ev": 2.0, "plasma_energy_ev": 1.0, "intensity_wcm2": 1e308},
+    {"photon_energy_ev": 1e300, "plasma_energy_ev": 1.0, "intensity_wcm2": 1e300},
+    {"photon_energy_ev": 1e200, "plasma_energy_ev": 1e160},
+    {"photon_energy_ev": 1e10, "electron_density_cm3": 1e-300},
+])
+def test_non_finite_derived_values_rejected(kwargs):
+    # finite inputs whose derived values overflow (or whose plasmon energy
+    # underflows to 0) must not reach the report as inf or NaN
+    with pytest.raises(InvalidArgumentError):
+        derive_config(**kwargs)
+
+
 def test_dispersion_identities():
     cfg = derive_config(1.563, plasma_energy_ev=1.0, intensity_wcm2=1e8)
     # k_p = k_0 sqrt(1 - n_m^2)

@@ -11,8 +11,8 @@ from incewave.errors import (EvanescentSolutionError, InvalidArgumentError,
                              InvalidConfigError)
 from incewave.ince_matrix import build_even_matrix, build_odd_matrix
 from incewave.polynomials import Branch, evaluate, make_polynomial
-from incewave.wavefunction import (ScalarSolution, SpinorSlot, prefactor,
-                                   prefactor_series, prefactor_series_sum,
+from incewave.wavefunction import (ScalarSolution, SpinorSlot, polynomial_with_prefactor,
+                                   prefactor, prefactor_series, prefactor_series_sum,
                                    scalar_wavefunction, series_truncation_order,
                                    x_hat)
 
@@ -76,6 +76,22 @@ def test_scalar_wavefunction_inherits_prefactor_check():
     s = _scalar(a=5000.0)
     with pytest.raises(InvalidArgumentError, match="overflows"):
         scalar_wavefunction(s, np.pi * s.kp / s.k0, 0.0, 0.0, 0.0)
+
+
+def test_overflowing_product_with_polynomial_raises():
+    # e^709.75 is finite, but |f(pi)| = 2.0 for this label of even n=3, a=2839
+    sol = eigen_decompose(build_even_matrix(3, 2839.0))
+    k = int(np.argmin(np.abs(sol.eigenvalues + 14189.0))) + 1
+    poly = make_polynomial(sol, k)
+    assert np.isfinite(prefactor(2839.0, np.pi))
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        polynomial_with_prefactor(poly, np.pi)
+    s = ScalarSolution(poly, SpinorSlot.S12, 0.0, 0.0, 1.0, 0.8, 0.6)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        scalar_wavefunction(s, np.pi * s.kp / s.k0, 0.0, 0.0, 0.0)
+    xs = np.array([0.0, 1.0])
+    np.testing.assert_array_equal(polynomial_with_prefactor(poly, xs),
+                                  prefactor(2839.0, xs) * evaluate(poly, xs))
 
 
 def test_large_a_peak_train():
