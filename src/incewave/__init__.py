@@ -11,16 +11,16 @@ scalar wavefunctions, and maps laboratory laser/plasma parameters to and from
 the dimensionless model.
 """
 
-from .eigensolver import (SpectralSolution, Tier, eigen_decompose,
-                          eigenvector_for, refine_eigenvalue, sturm_count,
-                          symmetrize)
+from .eigensolver import (SpectralSolution, Tier, char_poly_eval,
+                          char_poly_scaled, eigen_decompose, eigenvector_for,
+                          refine_eigenvalue, sturm_count, symmetrize)
 from .errors import (AmbiguousInputError, EvanescentSolutionError,
                      InvalidArgumentError, InvalidBracketError,
                      InvalidConfigError, InvalidPairingError,
                      NotUnderdenseError, NumericalFailureError,
                      OracleFailureError)
 from .ince_matrix import (Parity, TridiagonalMatrix, build_even_matrix,
-                          build_odd_matrix, char_poly_eval, char_poly_scaled)
+                          build_odd_matrix)
 from .physics import (MomentumRecord, PHatKind, PhysicalConfig, derive_config,
                       mass_shift, momentum_spectrum, whittaker_hill_params)
 from .polynomials import (Branch, TrigPolynomial, derivative, evaluate,

@@ -18,8 +18,9 @@ brackets. Every result is certified by Sturm counts 1e-26 of the scale to
 either side of it; bisection on the counts takes over for any label that is
 not. The compensated recurrence resolves eigenvalue pairs splitting around
 the 12th significant digit, below one ulp of the values themselves.
-sturm_count counts sign changes along the float64 minors of
-ince_matrix.scaled_minors.
+This double-double pass is the library's one minor recurrence: sturm_count,
+the bracket check of refine_eigenvalue and the characteristic polynomial
+(char_poly_scaled, char_poly_eval) run it on the scaled problem too.
 
 Eigenvectors, in the matrix's own units, come from two sweeps of inverse
 iteration on the symmetrized matrix at the final shifts, all eigenvalues
@@ -49,7 +50,7 @@ from .errors import (
     InvalidBracketError,
     NumericalFailureError,
 )
-from .ince_matrix import HarmonicLayout, Parity, TridiagonalMatrix, scaled_minors
+from .ince_matrix import HarmonicLayout, Parity, TridiagonalMatrix
 
 _EPS = np.finfo(float).eps
 
@@ -120,18 +121,19 @@ def _similarity_scale(m: TridiagonalMatrix) -> np.ndarray:
     return d
 
 
-def _scaled_problem(m: TridiagonalMatrix):
+def _scaled_problem(m: TridiagonalMatrix, shift: float = 0.0):
     """(diag, c, g_dd, e): the matrix scaled by 2**-e, with 2**e just above
-    max(|diag|, sqrt(super*sub)), as its diagonal, its symmetrized
+    max(|diag|, sqrt(super*sub), |shift|), as its diagonal, its symmetrized
     off-diagonals sqrt(super*sub) and its super*sub products as exact
     double-double values. Entries at or above _MAX_SCALE raise
-    InvalidArgumentError."""
+    InvalidArgumentError; a finite shift may reach the top of the float
+    range, and scaled by 2**-e it stays below 1."""
     size = max(float(np.max(np.abs(m.diag))),
                float(np.max(np.sqrt(np.abs(m.super)) * np.sqrt(np.abs(m.sub)), initial=0.0)))
     if not size < _MAX_SCALE:
         raise InvalidArgumentError(f"matrix entries reach {size:.4g}, above the solver's "
                                    f"ceiling 2**1020 = {_MAX_SCALE:.4g}: a is too large")
-    e = math.frexp(size)[1]
+    e = math.frexp(max(size, abs(shift)))[1]
     g_dd = ddc.two_prod(np.ldexp(m.super, -e), np.ldexp(m.sub, -e))
     if np.any(g_dd[0] < 0):
         raise NumericalFailureError("off-diagonal products must be >= 0 for a valid matrix")
@@ -162,8 +164,8 @@ _NEWTON_PASSES = 32
 def _count_dd(diag, g_dd, xh, xl, derivs=False):
     """Sturm counts at the double-double shifts xh + xl, from one pass of the
     minor recurrence in double-double arithmetic. With derivs it returns
-    (counts, ph, pl) instead: ph + pl is the (3, k) stack of the last minor
-    p = det(T - x), p' and p''/2, all three scaled by the same power of two.
+    (counts, ph, pl, ex) instead: ph + pl is the (3, k) stack of the last
+    minor p = det(T - x), p' and p''/2, all three times the same 2**-ex.
     They follow the recurrence of the minors, differentiated:
     P_j = (d_j - x) P_{j-1} - g_{j-1} P_{j-2} - (0, p_{j-1}, p'_{j-1})."""
     xh = np.atleast_1d(np.asarray(xh, dtype=float))
@@ -176,6 +178,7 @@ def _count_dd(diag, g_dd, xh, xl, derivs=False):
     if derivs:
         p1h[1] = -1.0
     cnt = np.zeros(xh.shape, dtype=np.int64)
+    ex = np.zeros(xh.shape, dtype=np.int64)
     sprev = np.ones(xh.shape)
     for j in range(len(diag)):
         if j > 0:
@@ -190,23 +193,62 @@ def _count_dd(diag, g_dd, xh, xl, derivs=False):
             f = np.where((mx > 0) & (mx < _SMALL), _UP, f)
             p1h, p1l = p1h * f, p1l * f
             p2h, p2l = p2h * f, p2l * f
+            if derivs:
+                ex -= np.frexp(f)[1] - 1
         s = ddc.dd_sign(p1h[0], p1l[0])
         s = np.where(s == 0, -sprev, s)
         cnt += s != sprev
         sprev = s
-    return (cnt, p1h, p1l) if derivs else cnt
+    return (cnt, p1h, p1l, ex) if derivs else cnt
+
+
+def _finite(x, name: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"{name} must be finite")
+    return x
+
+
+def _count_below(m: TridiagonalMatrix, xs) -> np.ndarray:
+    """Number of eigenvalues of m strictly below each finite shift of xs.
+
+    The shifts are clipped to the padded Gershgorin interval of the scaled
+    problem, where the counts are exactly 0 or dim, so the double-double pass
+    never sees a shift that overflows its products. With every coupling zero
+    (a = 0, or dimension 1) the diagonal holds the eigenvalues and is counted
+    exactly: the recurrence does not recover from an exactly zero minor."""
+    xs = np.asarray(xs, dtype=float)
+    if m.a == 0 or m.dim == 1:
+        return np.searchsorted(np.sort(m.diag), xs)
+    diag, c, g_dd, e = _scaled_problem(m)
+    return _count_dd(diag, g_dd, np.clip(np.ldexp(xs, -e), *_gershgorin(diag, c)), 0.0)
 
 
 def sturm_count(m: TridiagonalMatrix, eta: float) -> int:
-    """Number of eigenvalues of m strictly below eta (float64 arithmetic)."""
-    if m.a == 0:
-        return int(np.sum(m.diag < eta))
-    cnt, sprev = 0, 1.0
-    for s in np.sign(scaled_minors(m, float(eta))[0]):
-        s = s or -sprev
-        cnt += s != sprev
-        sprev = s
-    return int(cnt)
+    """Number of eigenvalues of m strictly below eta."""
+    return int(_count_below(m, [_finite(eta, "eta")])[0])
+
+
+def char_poly_scaled(m: TridiagonalMatrix, eta: float) -> tuple[float, int]:
+    """det(m - eta*I) as (mantissa, exp2) with value = mantissa * 2**exp2 and
+    0.5 <= |mantissa| < 1 (or 0), from the double-double pass on the matrix
+    scaled by 2**-e, 2**e just above max(entries, |eta|). The mantissa
+    carries the exact sign."""
+    eta = _finite(eta, "eta")
+    diag, _, g_dd, e = _scaled_problem(m, eta)
+    _, ph, pl, ex = _count_dd(diag, g_dd, math.ldexp(eta, -e), 0.0, derivs=True)
+    mant, exp2 = math.frexp(float(ph[0, 0] + pl[0, 0]))
+    return mant, exp2 + int(ex[0]) + e * m.dim
+
+
+def char_poly_eval(m: TridiagonalMatrix, eta: float) -> float:
+    """det(m - eta*I). Saturates to +-inf when the determinant exceeds float
+    range; use char_poly_scaled for the sign/scale in that regime."""
+    mant, exp2 = char_poly_scaled(m, eta)
+    try:
+        return math.ldexp(mant, exp2)
+    except OverflowError:
+        return math.inf if mant > 0 else -math.inf
 
 
 def _gershgorin(diag: np.ndarray, c: np.ndarray) -> tuple[float, float]:
@@ -297,7 +339,7 @@ def _refine_dd(diag, g_dd, ks, x0, loh, hih, target):
         if not act.size:
             break
         xa, k = x[:, act], ks[act]
-        cnt, ph, pl = _count_dd(diag, g_dd, *xa, derivs=True)
+        cnt, ph, pl, _ = _count_dd(diag, g_dd, *xa, derivs=True)
         up = cnt >= k
         hi[:, act] = np.where(up, xa, hi[:, act])
         lo[:, act] = np.where(up, lo[:, act], xa)
@@ -425,16 +467,12 @@ def _inverse_sweeps(dsym, c, mu, v, clusters):
 
 
 def _cluster_slices(vals_desc: np.ndarray) -> list[slice]:
+    """Runs of the descending values cut wherever a gap is not at most
+    _CLUSTER_RELGAP * max|value|."""
     scale = float(np.max(np.abs(vals_desc)))
-    out = []
-    i = 0
-    while i < vals_desc.size:
-        j = i
-        while j + 1 < vals_desc.size and vals_desc[j] - vals_desc[j + 1] <= _CLUSTER_RELGAP * scale:
-            j += 1
-        out.append(slice(i, j + 1))
-        i = j + 1
-    return out
+    cuts = np.flatnonzero(~(vals_desc[:-1] - vals_desc[1:] <= _CLUSTER_RELGAP * scale)) + 1
+    bounds = [0, *cuts.tolist(), vals_desc.size]
+    return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def _dd_sum(h, l):
@@ -486,8 +524,9 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
     v = v.copy()
     weight = bilinear_weight_kernel(m.xi_frequencies, m.a)
     for sl in clusters:
-        u = v[:, sl] / d[:, None]
-        gram = u.T @ weight @ u
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = v[:, sl] / d[:, None]
+            gram = u.T @ weight @ u
         if not np.all(np.isfinite(gram)):
             raise NumericalFailureError(
                 f"cluster rotation for labels k={sl.start + 1}..{sl.stop}: Gram form not "
@@ -528,8 +567,9 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     clusters = _cluster_slices(vals_desc)
     v = _inverse_sweeps(m.diag.astype(float), np.ldexp(c, e), vals_desc, v[:, ::-1], clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
-    vecs = (v / dscale[:, None]).T
-    norm = np.sqrt(np.sum(vecs**2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs = (v / dscale[:, None]).T
+        norm = np.sqrt(np.sum(vecs**2, axis=1))
     if not np.all(np.isfinite(norm)):
         k = int(np.argmax(~np.isfinite(norm))) + 1
         raise NumericalFailureError(f"back-transform of label k={k} overflows "
@@ -577,9 +617,7 @@ def refine_eigenvalue(m: TridiagonalMatrix, eta0: float,
 def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
                          bracket: tuple[float, float] | None = None) -> tuple[float, float]:
     """As refine_eigenvalue but returning the compensated (hi, lo) pair."""
-    eta0 = float(eta0)
-    if not math.isfinite(eta0):
-        raise InvalidArgumentError("eta0 must be finite")
+    eta0 = _finite(eta0, "eta0")
     if m.a == 0 or m.dim == 1:  # the diagonal holds the eigenvalues
         problem, asc, e = None, np.sort(m.diag.astype(float)), 0
     else:
@@ -591,9 +629,7 @@ def refine_eigenvalue_dd(m: TridiagonalMatrix, eta0: float,
         lo, hi = (float(b) for b in bracket)
         if not lo < hi:
             raise InvalidBracketError(f"empty bracket ({lo}, {hi})")
-        ends = np.ldexp([lo, hi], -e)  # in the problem's units; exact
-        nlo, nhi = (np.searchsorted(asc, ends) if problem is None
-                    else _count_dd(problem[0], problem[2], ends, 0.0))
+        nlo, nhi = _count_below(m, [lo, hi])
         if nhi - nlo != 1:
             raise InvalidBracketError(
                 f"bracket ({lo}, {hi}) isolates {nhi - nlo} eigenvalues, need exactly 1")
@@ -610,9 +646,7 @@ def eigenvector_for(m: TridiagonalMatrix, eta: float) -> np.ndarray:
     eta must sit within the residual tolerance 1e-10*(|eta| + a*dim) of a true
     eigenvalue; anything farther raises InvalidArgumentError.
     """
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise InvalidArgumentError("eta must be finite")
+    eta = _finite(eta, "eta")
     tol = 1e-10 * (abs(eta) + m.a * m.dim + 1.0)
     sol = eigen_decompose(m, Tier.DOUBLE)
     k = int(np.argmin(np.abs(sol.eigenvalues - eta)))

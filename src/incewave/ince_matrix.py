@@ -1,4 +1,4 @@
-"""Construction of the even/odd coupling matrices and their characteristic minors.
+"""Construction of the even/odd coupling matrices.
 
 The finite trigonometric-polynomial wave states are eigenvectors of special
 tridiagonal matrices. Both families share one harmonic layout, fixed by the
@@ -156,44 +156,3 @@ def build_odd_matrix(n: int, a: float) -> TridiagonalMatrix:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidArgumentError(f"odd family requires integer n >= 0, got {n!r}")
     return _layout_matrix(Parity.ODD, n, a)
-
-
-def scaled_minors(m: TridiagonalMatrix, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Leading principal minors p_1..p_dim of m - x*I at every shift x, as
-    (mantissa, exp2) arrays of shape (dim,) + xs.shape with
-    p_j = mantissa[j-1] * 2**exp2[j-1].
-
-    Three-term recurrence p_j = (diag_j - x) p_{j-1} - g_{j-1} p_{j-2} with
-    power-of-two rescaling, so arbitrarily large dimensions cannot overflow.
-    The mantissa carries the exact sign.
-    """
-    xs = np.asarray(xs, dtype=float)
-    g = m.offdiag_products()
-    mant = np.empty((m.dim,) + xs.shape)
-    exp2 = np.zeros((m.dim,) + xs.shape, dtype=np.int64)
-    pm2, pm1 = np.ones_like(xs), m.diag[0] - xs
-    mant[0] = pm1
-    for j in range(1, m.dim):
-        pm2, pm1 = pm1, (m.diag[j] - xs) * pm1 - g[j - 1] * pm2
-        big = np.maximum(np.abs(pm1), np.abs(pm2))
-        shift = np.where(big > 1e150, -512, np.where((big > 0.0) & (big < 1e-150), 512, 0))
-        pm1, pm2 = np.ldexp(pm1, shift), np.ldexp(pm2, shift)
-        mant[j], exp2[j] = pm1, exp2[j - 1] - shift
-    return mant, exp2
-
-
-def char_poly_scaled(m: TridiagonalMatrix, eta: float) -> tuple[float, int]:
-    """det(m - eta*I) as (mantissa, exp2) with value = mantissa * 2**exp2,
-    the last of scaled_minors. The mantissa carries the exact sign."""
-    mant, exp2 = scaled_minors(m, float(eta))
-    return float(mant[-1]), int(exp2[-1])
-
-
-def char_poly_eval(m: TridiagonalMatrix, eta: float) -> float:
-    """det(m - eta*I). Saturates to +-inf when the determinant exceeds float
-    range; use char_poly_scaled for the sign/scale in that regime."""
-    mant, exp2 = char_poly_scaled(m, float(eta))
-    try:
-        return math.ldexp(mant, exp2)
-    except OverflowError:
-        return math.inf if mant > 0 else -math.inf

@@ -237,7 +237,9 @@ def verification_report(parity: Parity, n: int, a: float,
     add("ode_residual", np.max(ratios))
 
     gq, gb = scaled_gram_matrices(sol)
-    dmax = np.max(np.abs(np.diag(gb)))
+    # an identically zero form (odd n=0 at a=0, whose one entry is I_1(0)) is
+    # measured against its bound 2*pi instead
+    dmax = np.max(np.abs(np.diag(gb))) or 2.0 * np.pi
     off = gb - np.diag(np.diag(gb))
     add("gram_offdiag", np.max(np.abs(off)) / dmax)
     add("route_agreement", np.max(np.abs(gq - gb)) / dmax)

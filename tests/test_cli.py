@@ -310,6 +310,19 @@ def test_verify_trivial_pass(tmp_path):
                "--out", str(tmp_path / "v.json")) == 0
 
 
+def test_verify_identically_zero_gram_form_passes(tmp_path, capsys):
+    # odd n=0 at a=0 is exact (eta = 1, D = [1]), but its one kernel entry is
+    # I_1(0) = 0: the Gram ratios are measured against the form's bound 2*pi
+    out = tmp_path / "v.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "verify", "--parity", "odd", "--n", "0", "--a", "0",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["data"]["checks"]
+    assert all(math.isfinite(c["observed"]) and c["passed"] for c in checks)
+
+
 def test_verify_corruption_exit1(tmp_path, capsys):
     out = tmp_path / "v.json"
     code = run(tmp_path, "verify", "--parity", "even", "--n", "3", "--a", "1",

@@ -16,9 +16,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from incewave import ddcore as ddc
 from incewave import eigensolver as es
-from incewave.eigensolver import (Tier, eigen_decompose, eigenvector_for,
-                                  refine_eigenvalue, refine_eigenvalue_dd, sturm_count,
-                                  symmetrize)
+from incewave.eigensolver import (Tier, char_poly_eval, char_poly_scaled, eigen_decompose,
+                                  eigenvector_for, refine_eigenvalue, refine_eigenvalue_dd,
+                                  sturm_count, symmetrize)
 from incewave.errors import InvalidArgumentError, InvalidBracketError, NumericalFailureError
 from incewave.ince_matrix import build_even_matrix, build_odd_matrix
 
@@ -202,6 +202,85 @@ def test_sturm_count_against_spectrum():
         assert sturm_count(m, probe) == int(np.sum(vals < probe))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(parity=st.booleans(), n=st.integers(1, 40), log_a=st.floats(-12.0, 300.0))
+@settings(max_examples=40, deadline=None)
+def test_sturm_count_over_the_whole_a_range(parity, n, log_a):
+    # at every gap midpoint float64 resolves, and at both ends of the float
+    # range, the count equals the LAPACK index, without a numpy warning; the
+    # products super*sub overflow float64 above a ~ 1e154
+    from incewave.eigensolver import _lapack_eigh, _scaled_problem
+
+    m = build_even_matrix(n, 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
+    diag, c, _, e = _scaled_problem(m)
+    vals = np.ldexp(_lapack_eigh(diag, c)[0], e)
+    for i in np.flatnonzero(np.diff(vals) > 1e-8 * float(np.max(np.abs(vals)))):
+        assert sturm_count(m, 0.5 * (vals[i] + vals[i + 1])) == i + 1, f"gap after {i + 1}"
+    big = np.finfo(float).max
+    assert (sturm_count(m, -big), sturm_count(m, big)) == (0, m.dim)
+
+
+def _char_poly_mp(m, eta):
+    """det(m - eta I) by the minor recurrence in 80-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(80):
+        x = mp.mpf(eta)
+        pm2, pm1 = mp.mpf(1), mp.mpf(m.diag[0]) - x
+        for j in range(1, m.dim):
+            g = mp.mpf(m.super[j - 1]) * mp.mpf(m.sub[j - 1])
+            pm2, pm1 = pm1, (mp.mpf(m.diag[j]) - x) * pm1 - g * pm2
+        return pm1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("builder,n,a", [
+    *((b, n, a) for b in (build_even_matrix, build_odd_matrix)
+      for n in (1, 5, 12, 30) for a in (0.5, 12.0, 1e5, 1e150)),
+    (build_even_matrix, 100, 0.5), (build_odd_matrix, 150, 12.0)])
+def test_char_poly_matches_80_digit_recurrence(builder, n, a):
+    # at gap midpoints, where float64 minors lose every digit to cancellation
+    # (even n=30, a=12), and at the ends of the float range; at the two large
+    # dimensions the pass rescales its minors by 2**600
+    import mpmath as mp
+
+    m = builder(n, a)
+    vals = eigen_decompose(m).eigenvalues
+    mids = 0.5 * (vals[:-1] + vals[1:])
+    for eta in [*mids[::max(1, m.dim // 50)], 1e308, -1e308]:
+        mant, exp2 = char_poly_scaled(m, eta)
+        ref = _char_poly_mp(m, eta)
+        with mp.workdps(80):
+            err = abs(mp.ldexp(mp.mpf(mant), exp2) - ref) / abs(ref)
+        assert err < 1e-14, f"eta={eta!r}: relative error {float(err):.3g}"
+
+
+def test_sturm_count_on_the_diagonal():
+    # with every coupling zero the count is exact at the diagonal entries
+    # themselves, where a minor is exactly zero
+    for m in (build_even_matrix(3, 0.0), build_odd_matrix(4, 0.0), build_odd_matrix(0, 5.0)):
+        for x in m.diag:
+            assert sturm_count(m, x) == int(np.sum(m.diag < x))
+
+
+@pytest.mark.parametrize("fn", [sturm_count, char_poly_scaled, char_poly_eval])
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_non_finite_shift_rejected(fn, eta):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        fn(build_even_matrix(5, 12.0), eta)
+
+
+@pytest.mark.filterwarnings("error")
+def test_brackets_reaching_the_float_range():
+    # even n=1, a=12 has the eigenvalues 2 +- sqrt(148): a bracket around
+    # both holds two, one from -1e300 to 0 isolates the lower
+    m = build_even_matrix(1, 12.0)
+    with pytest.raises(InvalidBracketError, match="isolates 2"):
+        refine_eigenvalue(m, 14.1, bracket=(-1e300, 1e300))
+    got = refine_eigenvalue(m, 14.1, bracket=(-1e300, 0.0))
+    assert got == pytest.approx(2.0 - math.sqrt(148.0), rel=1e-15)
+
+
 @given(parity=st.booleans(), n=st.integers(1, 8),
        a=st.floats(0.01, 30.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
@@ -245,8 +324,8 @@ def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
 @given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 2.0))
 @settings(max_examples=40, deadline=None)
 def test_double_tier_eigenvalues_certified_by_sturm_count(parity, n, log_a):
-    # the float64 Sturm count runs on the unsymmetric matrix, independent of
-    # LAPACK: at the midpoint of every gap that float64 can resolve, it must
+    # the double-double Sturm count runs on the minor recurrence, independent
+    # of LAPACK: at the midpoint of every gap that float64 can resolve, it must
     # count exactly the eigenvalues below. The values are those of the LAPACK
     # stage that eigen_decompose returns at the double tier; eigen_decompose
     # itself is not called, as its cluster rotation still fails for part of
@@ -324,6 +403,7 @@ def test_residual_check_rejects_non_finite_rows():
         _check_residuals(m, bad)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [520, 600])
 def test_overflowing_back_transform_raises(n):
     # the diagonal scaling reaches 1e-150 and below: the back-transform or

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incewave.bessel import bilinear_weight_kernel, scaled_bessel_i_table
-from incewave.eigensolver import SpectralSolution, Tier
+from incewave.eigensolver import SpectralSolution, Tier, char_poly_eval, char_poly_scaled
 from incewave.errors import InvalidArgumentError
-from incewave.ince_matrix import (Parity, build_even_matrix, build_matrix,
-                                  build_odd_matrix, char_poly_eval, char_poly_scaled)
+from incewave.ince_matrix import Parity, build_even_matrix, build_matrix, build_odd_matrix
 from incewave.polynomials import Branch, TrigPolynomial
 
 
