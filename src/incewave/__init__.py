@@ -17,8 +17,7 @@ from .eigensolver import (SpectralSolution, Tier, char_poly_eval,
 from .errors import (AmbiguousInputError, EvanescentSolutionError,
                      InvalidArgumentError, InvalidBracketError,
                      InvalidConfigError, InvalidPairingError,
-                     NotUnderdenseError, NumericalFailureError,
-                     OracleFailureError)
+                     NotUnderdenseError, NumericalFailureError)
 from .ince_matrix import (Parity, TridiagonalMatrix, build_even_matrix,
                           build_odd_matrix)
 from .physics import (MomentumRecord, PHatKind, PhysicalConfig, derive_config,

@@ -450,12 +450,14 @@ def _solve_shifted(dshift, e, rhs):
 
 def _inverse_sweeps(dsym, c, mu, v, clusters):
     """Inverse iteration at the shifts mu (descending) for all columns of v at
-    once, re-orthonormalized within every cluster after each sweep. A column
-    whose solve does not stay finite (near the top of the float range) keeps
-    its previous vector."""
+    once, re-orthonormalized within every cluster after each sweep. Solves
+    shrink as 1/|mu|: one below 1/2 is scaled up by an exact power of two so
+    that its norm does not underflow. A column whose solve does not stay
+    finite (near the top of the float range) keeps its previous vector."""
     for _ in range(_SWEEPS):
         with np.errstate(over="ignore", invalid="ignore"):
             w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
+            w = np.ldexp(w, np.maximum(-np.frexp(np.max(np.abs(w), axis=0))[1], 0))
         norm = np.linalg.norm(w, axis=0)
         ok = np.isfinite(norm) & (norm > 0)
         w = np.where(ok, w / np.where(ok, norm, 1.0), v)

@@ -35,7 +35,3 @@ class EvanescentSolutionError(ValueError):
 
 class NumericalFailureError(RuntimeError):
     """An iterative numerical procedure failed to converge within its budget."""
-
-
-class OracleFailureError(RuntimeError):
-    """An independent verification oracle produced an inconsistent result."""

@@ -2,8 +2,10 @@
 
 Two ingredients: the weighted bilinear inner product (quadrature and
 Bessel-closed-form routes, compared but never silently merged) and a
-characteristic-polynomial root finder kept independent of the main
-eigensolver's Sturm-count path.
+characteristic-polynomial oracle that bisects on exact Sturm counts: the
+leading principal minors in Fraction arithmetic, exact for float entries
+(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386), with no scaling and
+nothing shared with the eigensolver's double-double recurrence.
 
 The weighted pairing is bilinear, not conjugated: for same-branch solutions
 f_k, f_l of the governing equation, multiplying by w(xi) = exp(-(a/2) cos xi)
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bessel import bilinear_weight_kernel
 from .eigensolver import SpectralSolution, Tier, eigen_decompose, eigenpair_residuals
-from .errors import InvalidArgumentError, InvalidPairingError, OracleFailureError
+from .errors import InvalidArgumentError, InvalidPairingError
 from .ince_matrix import Parity, TridiagonalMatrix, build_matrix
 from .polynomials import Branch, TrigPolynomial, evaluate, governing_residual, harmonic_sum
 
@@ -125,61 +128,53 @@ def gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
 # ----------------------------------------------------------------------
 
 
-def _minor_sign_grid(m: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
-    """Sign of det(m - x I) on a grid (0 marks an exact zero), by the scaled
-    minor recurrence."""
-    g = m.offdiag_products()
-    pm2 = np.ones_like(xs)
-    pm1 = m.diag[0] - xs
-    for j in range(1, m.dim):
-        pm2, pm1 = pm1, (m.diag[j] - xs) * pm1 - g[j - 1] * pm2
-        mx = np.maximum(np.abs(pm1), np.abs(pm2))
-        f = np.where(mx > 1e150, 2.0**-512, 1.0)
-        f = np.where((mx > 0) & (mx < 1e-150), 2.0**512, f)
-        pm1 *= f
-        pm2 *= f
-    return np.sign(pm1)
-
-
-def _bisect_char_root(m: TridiagonalMatrix, lo: float, hi: float,
-                      slo: float, tol: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            break
-        smid = _minor_sign_grid(m, np.array([mid]))[0]
-        if smid == 0.0:
-            return mid
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _exact_count(diag: list[Fraction], g: list[Fraction], x: float) -> int:
+    """Number of eigenvalues below x (one at x counts): sign changes of the
+    leading principal minors p_j = (d_j - x) p_{j-1} - g_{j-1} p_{j-2}, in
+    exact arithmetic. A zero minor takes the sign opposite to its
+    predecessor."""
+    x = Fraction(x)
+    p2, p1, count, sprev = 0, 1, 0, 1
+    for d, gj in zip(diag, (0, *g)):
+        p2, p1 = p1, (d - x) * p1 - gj * p2
+        s = (p1 > 0) - (p1 < 0) or -sprev
+        count += s != sprev
+        sprev = s
+    return count
 
 
 def oracle_eigenvalues(m: TridiagonalMatrix) -> list[float]:
-    """All eigenvalues (descending) by sign-change scanning of the
-    characteristic polynomial plus bisection; independent of the Sturm-count
-    solver. Scale-limited to dimension <= 8."""
+    """All eigenvalues (descending) by bisection on exact Sturm counts,
+    independent of the solver: every entry is a float, so the minors are
+    exact in Fraction arithmetic and need no scaling. Each label is bisected
+    from the bound min/max diag -/+ (2 a dim + 1) until its bracket is a
+    quarter ulp of that bound or its midpoint rounds to an end. With every
+    coupling zero the diagonal is the spectrum. Dimensions above 8 are
+    refused for cost: a count is O(dim) Fraction operations on growing
+    numerators."""
     if m.dim > 8:
         raise InvalidArgumentError("the characteristic-polynomial oracle is limited to dim <= 8")
-    lo = float(np.min(m.diag)) - 2.0 * m.a * m.dim - 1.0
-    hi = float(np.max(m.diag)) + 2.0 * m.a * m.dim + 1.0
-    npts = 64 * m.dim
-    for _ in range(6):
-        xs = np.linspace(lo, hi, npts + 1)
-        signs = _minor_sign_grid(m, xs)
-        roots = [float(x) for x, s in zip(xs, signs) if s == 0.0]
-        for i in range(npts):
-            if signs[i] != 0.0 and signs[i + 1] != 0.0 and signs[i] != signs[i + 1]:
-                roots.append(_bisect_char_root(m, xs[i], xs[i + 1], signs[i], 1e-13))
-        if len(roots) == m.dim:
-            return sorted(roots, reverse=True)
-        npts *= 8
-    raise OracleFailureError(
-        f"found {len(roots)} roots for dimension {m.dim}; grid failed to "
-        "separate the spectrum (all roots must be real and simple)"
-    )
+    if m.a == 0 or m.dim == 1:
+        return sorted(map(float, m.diag), reverse=True)
+    bound = 2.0 * m.a * m.dim + 1.0
+    lo0, hi0 = float(np.min(m.diag)) - bound, float(np.max(m.diag)) + bound
+    if not math.isfinite(hi0 - lo0):
+        raise InvalidArgumentError(f"a={m.a} is too large for the oracle's float bound")
+    diag = [Fraction(float(d)) for d in m.diag]
+    g = [Fraction(float(u)) * Fraction(float(l)) for u, l in zip(m.super, m.sub)]
+    tol = math.ulp(hi0) / 4
+    roots = []
+    for i in range(m.dim):
+        lo, hi = lo0, hi0
+        mid = 0.5 * (lo + hi)
+        while hi - lo > tol and lo < mid < hi:
+            if _exact_count(diag, g, mid) > i:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        roots.append(mid)
+    return roots[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -310,6 +310,16 @@ def test_verify_trivial_pass(tmp_path):
                "--out", str(tmp_path / "v.json")) == 0
 
 
+def test_verify_small_a_at_oracle_dimension_passes(tmp_path):
+    # dim 5 at a=0.01: two eigenvalues near 9 split by 3.7e-7, which the
+    # oracle's exact Sturm counts separate
+    out = tmp_path / "v.json"
+    assert run(tmp_path, "verify", "--parity", "odd", "--n", "2", "--a", "0.01",
+               "--out", str(out)) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["data"]["checks"]}
+    assert checks["oracle_delta"]["passed"]
+
+
 def test_verify_identically_zero_gram_form_passes(tmp_path, capsys):
     # odd n=0 at a=0 is exact (eta = 1, D = [1]), but its one kernel entry is
     # I_1(0) = 0: the Gram ratios are measured against the form's bound 2*pi

@@ -321,6 +321,26 @@ def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
         np.testing.assert_array_equal(xs[:, j], _solve_shifted(shifted[:, j], e, rhs[:, j]))
 
 
+@pytest.mark.parametrize("a", [1e200, 1e300])
+def test_inverse_sweep_normalizes_solves_at_extreme_a(monkeypatch, a):
+    # the solves shrink as 1/|mu|, so their squares underflow and their plain
+    # norms read 0: each column must still be its solve normalized, not its
+    # input kept
+    monkeypatch.setattr(es, "_SWEEPS", 1)
+    m = build_odd_matrix(3, a)
+    diag, c, _, e = es._scaled_problem(m)
+    asc, v = es._lapack_eigh(diag, c)
+    mu, v = np.ldexp(asc[::-1], e), v[:, ::-1]
+    dsym, csym = m.diag.astype(float), np.ldexp(c, e)
+    w = es._solve_shifted(dsym[:, None] - mu[None, :], csym, v)
+    assert not np.any(np.linalg.norm(w, axis=0))
+    out = es._inverse_sweeps(dsym, csym, mu, v, es._cluster_slices(mu))
+    assert not np.array_equal(out, v)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=0), 1.0, rtol=0, atol=4 * np.finfo(float).eps)
+    np.testing.assert_allclose(out / np.max(np.abs(out), axis=0), w / np.max(np.abs(w), axis=0),
+                               rtol=0, atol=4 * np.finfo(float).eps)
+
+
 @given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 2.0))
 @settings(max_examples=40, deadline=None)
 def test_double_tier_eigenvalues_certified_by_sturm_count(parity, n, log_a):
@@ -343,21 +363,31 @@ def test_double_tier_eigenvalues_certified_by_sturm_count(parity, n, log_a):
     assert sturm_count(m, vals[-1] + 1.0) == m.dim
 
 
+def _mpmath_eigsy(m):
+    """(vals, vecs, scale): mpmath.eigsy of the symmetrized matrix at the
+    working precision, and the similarity scale (a column v of vecs maps back
+    to the coefficient vector v / scale)."""
+    import mpmath as mp
+
+    sym = mp.zeros(m.dim)
+    scale = [mp.mpf(1)]
+    for i in range(m.dim):
+        sym[i, i] = mp.mpf(float(m.diag[i]))
+    for i in range(m.dim - 1):
+        up, down = mp.mpf(float(m.super[i])), mp.mpf(float(m.sub[i]))
+        sym[i, i + 1] = sym[i + 1, i] = mp.sqrt(up * down)
+        scale.append(scale[-1] * mp.sqrt(up / down))
+    vals, vecs = mp.eigsy(sym)
+    return vals, vecs, scale
+
+
 def _mpmath_vectors(m):
     """Unit, sign-fixed coefficient vectors (descending eigenvalues) from a
     60-digit mpmath.eigsy solve of the symmetrized matrix."""
     import mpmath as mp
 
     with mp.workdps(60):
-        sym = mp.zeros(m.dim)
-        scale = [mp.mpf(1)]
-        for i in range(m.dim):
-            sym[i, i] = mp.mpf(float(m.diag[i]))
-        for i in range(m.dim - 1):
-            up, down = mp.mpf(float(m.super[i])), mp.mpf(float(m.sub[i]))
-            sym[i, i + 1] = sym[i + 1, i] = mp.sqrt(up * down)
-            scale.append(scale[-1] * mp.sqrt(up / down))
-        vals, vecs = mp.eigsy(sym)
+        vals, vecs, scale = _mpmath_eigsy(m)
         out = np.empty((m.dim, m.dim))
         for row, j in enumerate(sorted(range(m.dim), key=lambda j: -vals[j])):
             col = [vecs[i, j] / scale[i] for i in range(m.dim)]

@@ -1,8 +1,12 @@
 """Inner products, the characteristic-polynomial oracle, and the check suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from test_eigensolver import _mpmath_eigsy
 
+from incewave import verify
 from incewave.eigensolver import Tier, eigen_decompose
 from incewave.errors import InvalidArgumentError, InvalidPairingError
 from incewave.ince_matrix import Parity, build_even_matrix, build_odd_matrix
@@ -101,9 +105,36 @@ def test_oracle_matches_main_solver():
         np.testing.assert_allclose(oracle, main, rtol=0, atol=1e-10)
 
 
+def test_oracle_at_a0_returns_the_diagonal():
+    # every coupling is zero: the recurrence cannot leave an exactly zero minor
+    assert oracle_eigenvalues(build_even_matrix(2, 0.0)) == [16.0, 4.0, 4.0, 0.0]
+    assert oracle_eigenvalues(build_odd_matrix(3, 0.0)) == [49.0, 25.0, 25.0, 9.0, 9.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("a", [1e-12, 0.01, 0.1, 0.5, 1e5, 1e7])
+@pytest.mark.parametrize("builder,n", [(build_even_matrix, n) for n in (1, 2, 3, 4)]
+                         + [(build_odd_matrix, n) for n in (0, 1, 2, 3)])
+def test_oracle_matches_60_digit_eigenvalues(builder, n, a):
+    # every dimension <= 8 the oracle accepts, within 2 ulps of max|eta|
+    import mpmath as mp
+
+    m = builder(n, a)
+    with mp.workdps(60):
+        ref = sorted((float(v) for v in _mpmath_eigsy(m)[0]), reverse=True)
+    tol = 2 * np.spacing(max(abs(v) for v in ref))
+    np.testing.assert_allclose(oracle_eigenvalues(m), ref, rtol=0, atol=tol)
+
+
 def test_oracle_rejects_large_dimension():
     with pytest.raises(InvalidArgumentError):
         oracle_eigenvalues(build_even_matrix(15, 12.0))
+
+
+def test_oracle_rejects_a_beyond_its_float_bound():
+    # the entries are finite, but the bracket min/max diag -/+ (2 a dim + 1)
+    # is not
+    with pytest.raises(InvalidArgumentError):
+        oracle_eigenvalues(build_odd_matrix(3, 1e307))
 
 
 def test_report_passes_reference_configuration():
@@ -154,6 +185,22 @@ def test_report_corruption_trips_ode_residual():
     assert not rep["passed"]
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert failing == ["ode_residual"]
+
+
+def test_report_oracle_catches_a_moved_eigenvalue(monkeypatch):
+    # a solver whose third value is off by 2e-10 passes every check but the
+    # oracle's, whose threshold is 1e-10
+    assert verification_report(Parity.EVEN, 3, 1.0)["passed"]
+
+    def moved(m, tier=Tier.DOUBLE):
+        sol = eigen_decompose(m, tier)
+        vals = sol.eigenvalues.copy()
+        vals[2] += 2e-10
+        return dataclasses.replace(sol, eigenvalues=vals)
+
+    monkeypatch.setattr(verify, "eigen_decompose", moved)
+    rep = verification_report(Parity.EVEN, 3, 1.0)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["oracle_delta"]
 
 
 @pytest.mark.parametrize("label", [1, 6])
