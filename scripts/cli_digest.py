@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per CLI output, for byte-identity checks across commits.
+
+Each command runs in-process in a fresh scratch directory, with relative
+output paths, so the manifests are comparable. Every output file and the
+captured standard output are hashed after dropping the manifest's
+"wall_time_s" line, the one field that varies between reruns. Run it at two
+commits and compare: equal output means equal bytes.
+
+    PYTHONPATH=src python scripts/cli_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from incewave.cli import main
+
+README = [
+    "spectrum --parity even --n 15 --a 12 --tier extended --out spec.json",
+    "wavefunction --parity even --n 15 --a 12 --eta 718.09 --xi-min -6.2832 --xi-max 6.2832"
+    " --points 1024 --with-prefactor --out wave.csv --strengths-out strengths.csv",
+    "physics --photon-ev 1.563 --plasma-ev 1.0 --intensity-wcm2 1e8",
+    "scan --parity even --n-min 1 --n-max 15 --a 0.5 1 12 --out scan.csv --format csv",
+    "verify --parity even --n 15 --a 12 --tier extended",
+]
+SPECTRA = [
+    f"spectrum --parity {parity} --n {n} --a {a} --tier extended --format {fmt} --out spec.{fmt}"
+    for parity in ("even", "odd") for n in (15, 40, 100) for a in ("1e-6", "0.5", "12", "1e100")
+    for fmt in ("json", "csv")
+]
+OTHERS = [
+    "wavefunction --parity odd --n 40 --a 0.5 --eta 1000 --eta-tol 1e9 --tier extended"
+    " --points 300 --format json --out wave.json --strengths-out strengths.json",
+    "wavefunction --parity even --n 30 --a 12 --eta 0 --eta-tol 1e9 --points 256",
+    "scan --parity odd --n-min 0 --n-max 12 --a 0.5 12 --tier extended --format json",
+    "scan --parity odd --n-min 0 --n-max 12 --a 0.5 12 --format csv",
+    "verify --parity odd --n 3 --a 1",
+]
+
+
+def _digest(data: bytes) -> str:
+    kept = [line for line in data.splitlines(keepends=True) if b'"wall_time_s":' not in line]
+    return hashlib.sha256(b"".join(kept)).hexdigest()
+
+
+def run(command: str, scratch: str) -> list[str]:
+    os.chdir(scratch)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
+    lines = [f"{_digest(out.getvalue().encode())}  exit {code} stdout  {command}"]
+    for name in sorted(os.listdir(scratch)):
+        with open(name, "rb") as fh:
+            lines.append(f"{_digest(fh.read())}  {name}  {command}")
+    return lines
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    try:
+        for command in README + SPECTRA + OTHERS:
+            with tempfile.TemporaryDirectory() as scratch:
+                print("\n".join(run(command, scratch)))
+    finally:
+        os.chdir(home)

@@ -57,6 +57,8 @@ def render_json(value, indent: int = 0) -> str:
         return _json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
+        if set(map(type, items)) <= {float}:
+            return "[" + ", ".join(map(_fmt_float, items)) + "]"
         if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in items):
             return "[" + ", ".join(render_json(v) for v in items) + "]"
         inner = ",\n".join(pad + "  " + render_json(v, indent + 2) for v in items)
@@ -93,7 +95,9 @@ def _csv_lines(header: list[str], rows) -> str:
         return str(v)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    for row in rows:
+        fmt = _fmt_float if set(map(type, row)) <= {float} else cell
+        lines.append(",".join(map(fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -140,20 +144,17 @@ def cmd_spectrum(args) -> int:
     sol = eigen_decompose(m, Tier(args.tier))
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
               "format": args.format}
-    data = {
-        "parity": args.parity,
-        "n": args.n,
-        "a": args.a,
-        "tier": args.tier,
-        "eigenvalues": [float(v) for v in sol.eigenvalues],
-        "eigenvectors": [[float(c) for c in row] for row in sol.eigenvectors],
-    }
-    rows = []
-    rs = sol.row_indices
-    for k in range(1, sol.dim + 1):
-        eta = float(sol.eigenvalues[k - 1])
-        for r, c in zip(rs, sol.eigenvectors[k - 1]):
-            rows.append((k, eta, int(r), float(c)))
+    data = rows = None
+    if args.format == "json":
+        data = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
+                "eigenvalues": sol.eigenvalues.tolist(),
+                "eigenvectors": sol.eigenvectors.tolist()}
+    else:
+        rs = sol.row_indices.tolist()
+        rows = [(k, eta, r, c)
+                for k, (eta, vec) in enumerate(zip(sol.eigenvalues.tolist(),
+                                                   sol.eigenvectors.tolist()), start=1)
+                for r, c in zip(rs, vec)]
     return _emit(args, "spectrum", params, args.tier, data,
                  ["k", "eta", "r", "coeff"], rows, started)
 
@@ -178,15 +179,18 @@ def cmd_wavefunction(args) -> int:
               "eta": args.eta, "eta_tol": args.eta_tol, "xi_min": args.xi_min,
               "xi_max": args.xi_max, "points": args.points,
               "with_prefactor": args.with_prefactor, "format": args.format}
-    rows = [(float(x), float(v.real), float(v.imag), float(abs(v)))
-            for x, v in zip(xis, vals)]
-    data = {
-        "parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
-        "eta": float(sol.eigenvalues[k - 1]), "k": k,
-        "with_prefactor": bool(args.with_prefactor),
-        "columns": ["xi", "re", "im", "abs"],
-        "rows": [list(r) for r in rows],
-    }
+    # np.hypot, not np.abs: on complex arrays np.abs can differ from it in the last bit
+    rows = list(zip(*(col.tolist() for col in
+                      (xis, vals.real, vals.imag, np.hypot(vals.real, vals.imag)))))
+    data = None
+    if args.format == "json":
+        data = {
+            "parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
+            "eta": float(sol.eigenvalues[k - 1]), "k": k,
+            "with_prefactor": bool(args.with_prefactor),
+            "columns": ["xi", "re", "im", "abs"],
+            "rows": [list(r) for r in rows],
+        }
     code = _emit(args, "wavefunction", params, args.tier, data,
                  ["xi", "re", "im", "abs"], rows, started)
     if args.strengths_out:

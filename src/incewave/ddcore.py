@@ -41,9 +41,14 @@ def split(a):
 
 def two_prod(a, b):
     """Error-free product: (p, err) with p + err == a * b exactly."""
+    return two_prod_split(a, split(a), b, split(b))
+
+
+def two_prod_split(a, a_split, b, b_split):
+    """two_prod(a, b) from the splits a_split = split(a), b_split = split(b),
+    for a factor that takes part in more than one product."""
+    (ahi, alo), (bhi, blo) = a_split, b_split
     p = a * b
-    ahi, alo = split(a)
-    bhi, blo = split(b)
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
 
@@ -68,7 +73,12 @@ def dd_sub(xh, xl, yh, yl):
 
 
 def dd_mul(xh, xl, yh, yl):
-    p, e = two_prod(xh, yh)
+    return dd_mul_split(xh, xl, split(xh), yh, yl, split(yh))
+
+
+def dd_mul_split(xh, xl, x_split, yh, yl, y_split):
+    """dd_mul from the splits x_split = split(xh), y_split = split(yh)."""
+    p, e = two_prod_split(xh, x_split, yh, y_split)
     e = e + (xh * yl + xl * yh)
     return quick_two_sum(p, e)
 

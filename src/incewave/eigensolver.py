@@ -167,38 +167,57 @@ def _count_dd(diag, g_dd, xh, xl, derivs=False):
     (counts, ph, pl, ex) instead: ph + pl is the (3, k) stack of the last
     minor p = det(T - x), p' and p''/2, all three times the same 2**-ex.
     They follow the recurrence of the minors, differentiated:
-    P_j = (d_j - x) P_{j-1} - g_{j-1} P_{j-2} - (0, p_{j-1}, p'_{j-1})."""
+    P_j = (d_j - x) P_{j-1} - g_{j-1} P_{j-2} - (0, p_{j-1}, p'_{j-1}).
+
+    Every float operation is that of ddcore's dd_mul and dd_sub; only the
+    numpy calls around them are fewer. Each factor is split once for both
+    of its products: the g_j and the shifted diagonal for all rows before
+    the loop, each new minor as it is formed. A column is rescaled by 2**600
+    or 2**-600 where its two latest minors leave [_SMALL, _BIG], and the
+    rescale runs only when some column does."""
     xh = np.atleast_1d(np.asarray(xh, dtype=float))
     xl = np.broadcast_to(np.asarray(xl, dtype=float), xh.shape)
     gh, gl = g_dd
     th, tl = ddc.dd_add(diag[:, None], 0.0, -xh, -xl)
+    thh, thl = ddc.split(th)
     p2h = np.zeros((3 if derivs else 1,) + xh.shape)
     p2l, p1h, p1l = np.zeros_like(p2h), np.zeros_like(p2h), np.zeros_like(p2h)
     p2h[0], p1h[0], p1l[0] = 1.0, th[0], tl[0]
     if derivs:
         p1h[1] = -1.0
-    cnt = np.zeros(xh.shape, dtype=np.int64)
+    s1, s2 = ddc.split(p1h), ddc.split(p2h)
+    a2 = np.abs(p1h)
     ex = np.zeros(xh.shape, dtype=np.int64)
-    sprev = np.ones(xh.shape)
-    for j in range(len(diag)):
-        if j > 0:
-            ah, al = ddc.dd_mul(th[j], tl[j], p1h, p1l)
-            bh, bl = ddc.dd_mul(gh[j - 1], gl[j - 1], p2h, p2l)
-            ph, pl = ddc.dd_sub(ah, al, bh, bl)
-            if derivs:
-                ph[1:], pl[1:] = ddc.dd_sub(ph[1:], pl[1:], p1h[:-1], p1l[:-1])
-            p2h, p2l, p1h, p1l = p1h, p1l, ph, pl
-            mx = np.max(np.maximum(np.abs(p1h), np.abs(p2h)), axis=0)
+    # hi parts of the leading minors, after a row of ones; a double-double
+    # sum has a zero hi part only where it is exactly zero, so the hi part
+    # carries the minor's sign
+    hs = np.empty((len(diag) + 1,) + xh.shape)
+    hs[0], hs[1] = 1.0, th[0]
+    rows = zip(th[1:], tl[1:], zip(thh[1:], thl[1:]), gh, gl, zip(*ddc.split(gh)))
+    for j, (thj, tlj, tsj, ghj, glj, gsj) in enumerate(rows, start=2):
+        ah, al = ddc.dd_mul_split(thj, tlj, tsj, p1h, p1l, s1)
+        bh, bl = ddc.dd_mul_split(ghj, glj, gsj, p2h, p2l, s2)
+        ph, pl = ddc.dd_sub(ah, al, bh, bl)
+        if derivs:
+            ph[1:], pl[1:] = ddc.dd_sub(ph[1:], pl[1:], p1h[:-1], p1l[:-1])
+        p2h, p2l, s2, p1h, p1l = p1h, p1l, s1, ph, pl
+        a1 = np.abs(p1h)
+        mx = np.maximum(a1, a2).max(axis=0)
+        if not (mx.max(initial=0.0) <= _BIG and mx.min(initial=_SMALL) >= _SMALL):
             f = np.where(mx > _BIG, _DOWN, 1.0)
             f = np.where((mx > 0) & (mx < _SMALL), _UP, f)
             p1h, p1l = p1h * f, p1l * f
             p2h, p2l = p2h * f, p2l * f
+            s2, a1 = ddc.split(p2h), np.abs(p1h)
             if derivs:
                 ex -= np.frexp(f)[1] - 1
-        s = ddc.dd_sign(p1h[0], p1l[0])
-        s = np.where(s == 0, -sprev, s)
-        cnt += s != sprev
-        sprev = s
+        s1, a2 = ddc.split(p1h), a1
+        hs[j] = p1h[0]
+    sg = np.sign(hs)
+    # a zero minor takes the opposite sign of its predecessor
+    for j in np.flatnonzero(~sg.all(axis=1)):
+        sg[j] = np.where(sg[j] == 0, -sg[j - 1], sg[j])
+    cnt = np.count_nonzero(sg[1:] != sg[:-1], axis=0)
     return (cnt, p1h, p1l, ex) if derivs else cnt
 
 

@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from importlib import resources
 
@@ -378,3 +379,28 @@ def test_seventeen_digit_serialization(tmp_path):
     assert v == pytest.approx(2 + math.sqrt(148), rel=1e-15)
     # and the serialized text carries the full precision (not a short repr)
     assert format(v, ".17g") in text
+
+
+SPECIAL_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+                  0.1, 1.0 / 3.0, 718.0928584868179, -163.70616441570896]
+
+
+def test_flat_float_lists_render_as_the_generic_path():
+    # plain floats take the one-pass path; numpy floats and mixed lists the
+    # per-element one, which must give the same bytes
+    from incewave.cli import _csv_lines, render_json
+
+    generic = np.array(SPECIAL_FLOATS)
+    assert all(type(v) is np.float64 for v in list(generic))
+    assert render_json(SPECIAL_FLOATS) == render_json(generic)
+    assert render_json(SPECIAL_FLOATS) == "[" + ", ".join(map(render_json, generic)) + "]"
+    assert render_json([SPECIAL_FLOATS, SPECIAL_FLOATS]) == render_json([generic, generic])
+    assert render_json([]) == "[]"
+    mixed = [1.5, 2, True, None, "s", math.nan, -0.0, np.float64(5e-324)]
+    assert render_json(mixed) == ('[1.5, 2, true, null, "s", NaN, -0, '
+                                  '4.9406564584124654e-324]')
+    rows = [SPECIAL_FLOATS[i:i + 4] for i in range(0, len(SPECIAL_FLOATS), 4)]
+    assert _csv_lines(["a", "b", "c", "d"], rows) == _csv_lines(["a", "b", "c", "d"],
+                                                               [np.array(r) for r in rows])
+    assert _csv_lines(["x", "y", "z"], [(1, -0.0, None), (True, math.nan, 5e-324)]) == \
+        "x,y,z\n1,-0,\ntrue,NaN,4.9406564584124654e-324\n"

@@ -220,6 +220,107 @@ def test_sturm_count_over_the_whole_a_range(parity, n, log_a):
     assert (sturm_count(m, -big), sturm_count(m, big)) == (0, m.dim)
 
 
+def _count_dd_reference(diag, g_dd, xh, xl, derivs=False):
+    """Reference for es._count_dd, which must match it bit for bit: one
+    dd_mul per product, and the rescale multiplies and the zero-sign rule on
+    every row."""
+    _BIG, _SMALL, _DOWN, _UP = es._BIG, es._SMALL, es._DOWN, es._UP
+    xh = np.atleast_1d(np.asarray(xh, dtype=float))
+    xl = np.broadcast_to(np.asarray(xl, dtype=float), xh.shape)
+    gh, gl = g_dd
+    th, tl = ddc.dd_add(diag[:, None], 0.0, -xh, -xl)
+    p2h = np.zeros((3 if derivs else 1,) + xh.shape)
+    p2l, p1h, p1l = np.zeros_like(p2h), np.zeros_like(p2h), np.zeros_like(p2h)
+    p2h[0], p1h[0], p1l[0] = 1.0, th[0], tl[0]
+    if derivs:
+        p1h[1] = -1.0
+    cnt = np.zeros(xh.shape, dtype=np.int64)
+    ex = np.zeros(xh.shape, dtype=np.int64)
+    sprev = np.ones(xh.shape)
+    for j in range(len(diag)):
+        if j > 0:
+            ah, al = ddc.dd_mul(th[j], tl[j], p1h, p1l)
+            bh, bl = ddc.dd_mul(gh[j - 1], gl[j - 1], p2h, p2l)
+            ph, pl = ddc.dd_sub(ah, al, bh, bl)
+            if derivs:
+                ph[1:], pl[1:] = ddc.dd_sub(ph[1:], pl[1:], p1h[:-1], p1l[:-1])
+            p2h, p2l, p1h, p1l = p1h, p1l, ph, pl
+            mx = np.max(np.maximum(np.abs(p1h), np.abs(p2h)), axis=0)
+            f = np.where(mx > _BIG, _DOWN, 1.0)
+            f = np.where((mx > 0) & (mx < _SMALL), _UP, f)
+            p1h, p1l = p1h * f, p1l * f
+            p2h, p2l = p2h * f, p2l * f
+            if derivs:
+                ex -= np.frexp(f)[1] - 1
+        s = ddc.dd_sign(p1h[0], p1l[0])
+        s = np.where(s == 0, -sprev, s)
+        cnt += s != sprev
+        sprev = s
+    return (cnt, p1h, p1l, ex) if derivs else cnt
+
+
+def _assert_count_dd_matches_reference(diag, g_dd, xh, xl):
+    """Counts, p, p', p''/2 and the exponent agree bit for bit (signed zeros
+    included) with the reference pass; returns the exponents."""
+    assert np.array_equal(es._count_dd(diag, g_dd, xh, xl),
+                          _count_dd_reference(diag, g_dd, xh, xl))
+    got = es._count_dd(diag, g_dd, xh, xl, derivs=True)
+    ref = _count_dd_reference(diag, g_dd, xh, xl, derivs=True)
+    for name, x, y in zip(("counts", "ph", "pl", "ex"), got, ref):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    return got[3]
+
+
+@given(parity=st.booleans(), n=st.integers(0, 60), log_a=st.floats(-12.0, 300.0))
+@settings(max_examples=40, deadline=None)
+def test_count_dd_matches_reference_pass(parity, n, log_a):
+    # at the LAPACK values, 1e-26 of the scale to either side of them (the
+    # certification shifts of the extended tier) and the Gershgorin ends
+    m = build_even_matrix(max(n, 1), 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
+    diag, c, g_dd, _ = es._scaled_problem(m)
+    vals = es._lapack_eigh(diag, c)[0]
+    t = 1e-26 * float(np.max(np.abs(vals)))
+    xh, xl = ddc.dd_add(np.tile(vals, 3), 0.0, np.repeat([0.0, -t, t], vals.size), 0.0)
+    ends = np.array(es._gershgorin(diag, c))
+    _assert_count_dd_matches_reference(diag, g_dd, np.concatenate([xh, ends]),
+                                       np.concatenate([xl, [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("builder,n,a,shift,direction", [
+    (build_even_matrix, 100, 12.0, "eigenvalues", -1),  # minors below 1e-200: up
+    (build_odd_matrix, 120, 0.5, "eigenvalues", -1),
+    (build_even_matrix, 160, 12.0, "below", 1),  # minors above 1e200: down
+])
+def test_count_dd_matches_reference_when_rescaling(builder, n, a, shift, direction):
+    m = builder(n, a)
+    diag, c, g_dd, _ = es._scaled_problem(m)
+    if shift == "eigenvalues":
+        xs = es._lapack_eigh(diag, c)[0]
+    else:  # 8 below the Gershgorin interval every factor d_j - x exceeds 8
+        xs = np.array([es._gershgorin(diag, c)[0] - 8.0])
+    ex = _assert_count_dd_matches_reference(diag, g_dd, xs, 0.0)
+    assert np.any(np.sign(ex) == direction)
+
+
+def test_count_dd_matches_reference_on_hand_made_cases():
+    # symmetric off-diagonal 1/2 and diagonal 1/2, eigenvalues 1/2 and
+    # 1/2 +- 1/sqrt(2): at x = 1/2 the first and third leading minors are
+    # exactly zero, and the zero-sign rule counts the eigenvalue at x as below
+    diag, g_dd = np.full(3, 0.5), (np.full(2, 0.25), np.zeros(2))
+    assert es._count_dd(diag, g_dd, 0.5, 0.0).tolist() == [2]
+    _assert_count_dd_matches_reference(diag, g_dd, np.array([0.5, 0.0, 1.5]), 0.0)
+    # the first two minors, 1e-250 and about 1e-250, are below 1e-200: the
+    # count pass rescales after the second, and without that the third
+    # underflows to zero and takes the opposite sign
+    diag, g_dd = np.array([0.5, 1.5, 0.5]), (np.array([1e-260, 1e-251]), np.zeros(2))
+    assert es._count_dd(diag, g_dd, 0.5, -1e-250).tolist() == [0]
+    _assert_count_dd_matches_reference(diag, g_dd, np.array([0.5]), np.array([-1e-250]))
+    # no shifts at all
+    m = build_odd_matrix(5, 12.0)
+    diag, _, g_dd, _ = es._scaled_problem(m)
+    _assert_count_dd_matches_reference(diag, g_dd, np.empty(0), np.empty(0))
+
+
 def _char_poly_mp(m, eta):
     """det(m - eta I) by the minor recurrence in 80-digit arithmetic."""
     import mpmath as mp

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["cross_family_gram.py", "figure_traces.py",
+@pytest.mark.parametrize("script", ["cli_digest.py", "cross_family_gram.py", "figure_traces.py",
                                     "pair_splitting_report.py"])
 def test_script_runs_with_defaults(tmp_path, script):
     # run from an empty directory: figure_traces.py writes its CSV files there
