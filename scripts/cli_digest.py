@@ -2,10 +2,10 @@
 """Print one SHA-256 per CLI output, for byte-identity checks across commits.
 
 Each command runs in-process in a fresh scratch directory, with relative
-output paths, so the manifests are comparable. Every output file and the
-captured standard output are hashed after dropping the manifest's
-"wall_time_s" line, the one field that varies between reruns. Run it at two
-commits and compare: equal output means equal bytes.
+output paths, so the manifests are comparable. Every output file, the
+captured standard output and any standard error are hashed after dropping
+the manifest's "wall_time_s" line, the one field that varies between reruns.
+Run it at two commits and compare: equal output means equal bytes.
 
     PYTHONPATH=src python scripts/cli_digest.py
 """
@@ -39,6 +39,23 @@ OTHERS = [
     "scan --parity odd --n-min 0 --n-max 12 --a 0.5 12 --format csv",
     "verify --parity odd --n 3 --a 1",
 ]
+# wavefunction picks one label: a singleton, both members of the 718.09 pair,
+# the largest dimensions, the top of the a range, an eta midway between two
+# labels (the extended midpoint of labels 14 and 15) and a selector failure
+WAVES = [
+    f"wavefunction {case} --tier {tier} --points 200"
+    for tier in ("double", "extended") for case in (
+        "--parity even --n 15 --a 12 --eta 355.49 --format json --out wave.json"
+        " --strengths-out strengths.json",
+        "--parity even --n 15 --a 12 --eta 718.0928584868 --out wave.csv",
+        "--parity even --n 15 --a 12 --eta 718.0928584847 --out wave.csv",
+        "--parity even --n 100 --a 12 --eta 10000 --eta-tol 1e9 --out wave.csv",
+        "--parity odd --n 100 --a 0.5 --eta 5000 --eta-tol 1e9 --format json --out wave.json",
+        "--parity odd --n 15 --a 1e100 --eta 0 --eta-tol 1e300 --out wave.csv",
+        "--parity even --n 15 --a 12 --eta 347.27497850607585 --eta-tol 9 --out wave.csv",
+        "--parity even --n 15 --a 12 --eta 100 --eta-tol 1e-3 --out wave.csv",
+    )
+]
 
 
 def _digest(data: bytes) -> str:
@@ -52,6 +69,8 @@ def run(command: str, scratch: str) -> list[str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(command.split())
     lines = [f"{_digest(out.getvalue().encode())}  exit {code} stdout  {command}"]
+    if err.getvalue():
+        lines.append(f"{_digest(err.getvalue().encode())}  stderr  {command}")
     for name in sorted(os.listdir(scratch)):
         with open(name, "rb") as fh:
             lines.append(f"{_digest(fh.read())}  {name}  {command}")
@@ -61,7 +80,7 @@ def run(command: str, scratch: str) -> list[str]:
 if __name__ == "__main__":
     home = os.getcwd()
     try:
-        for command in README + SPECTRA + OTHERS:
+        for command in README + SPECTRA + OTHERS + WAVES:
             with tempfile.TemporaryDirectory() as scratch:
                 print("\n".join(run(command, scratch)))
     finally:

@@ -13,7 +13,8 @@ the dimensionless model.
 
 from .eigensolver import (SpectralSolution, Tier, char_poly_eval,
                           char_poly_scaled, eigen_decompose, eigenvector_for,
-                          refine_eigenvalue, sturm_count, symmetrize)
+                          nearest_eigenpair, refine_eigenvalue, sturm_count,
+                          symmetrize)
 from .errors import (AmbiguousInputError, EvanescentSolutionError,
                      InvalidArgumentError, InvalidBracketError,
                      InvalidConfigError, InvalidPairingError,

@@ -22,13 +22,18 @@ import time
 import numpy as np
 
 from . import __version__
-from .eigensolver import Tier, eigen_decompose
+from .eigensolver import Tier, eigen_decompose, nearest_eigenpair
 from .errors import InvalidArgumentError
 from .ince_matrix import Parity, build_matrix
 from .physics import derive_config, momentum_spectrum
-from .polynomials import evaluate, harmonic_strengths, make_polynomial
+from .polynomials import Branch, TrigPolynomial, evaluate, harmonic_strengths
 from .verify import verification_report
 from .wavefunction import polynomial_with_prefactor
+
+# Bounds of wavefunction --points, each about 200 MB at its limit: one output
+# row per point, and a (points, dim) complex phase matrix.
+MAX_POINTS = 2**18
+MAX_PHASES = 2**22
 
 # ----------------------------------------------------------------------
 # Deterministic serialization
@@ -39,6 +44,13 @@ def _fmt_float(x: float) -> str:
     if x != x:
         return "NaN"
     return format(float(x), ".17g")
+
+
+def _fmt_floats(items, sep: str) -> str:
+    """_fmt_float of each plain float, joined by sep, in one formatting call;
+    "%.17g" spells NaN "nan", so a NaN takes the per-value path."""
+    text = sep.join(["%.17g"] * len(items)) % tuple(items)
+    return sep.join(map(_fmt_float, items)) if "nan" in text else text
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -58,7 +70,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if set(map(type, items)) <= {float}:
-            return "[" + ", ".join(map(_fmt_float, items)) + "]"
+            return "[" + _fmt_floats(items, ", ") + "]"
         if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in items):
             return "[" + ", ".join(render_json(v) for v in items) + "]"
         inner = ",\n".join(pad + "  " + render_json(v, indent + 2) for v in items)
@@ -96,8 +108,8 @@ def _csv_lines(header: list[str], rows) -> str:
 
     lines = [",".join(header)]
     for row in rows:
-        fmt = _fmt_float if set(map(type, row)) <= {float} else cell
-        lines.append(",".join(map(fmt, row)))
+        plain = set(map(type, row)) <= {float}
+        lines.append(_fmt_floats(row, ",") if plain else ",".join(map(cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -162,17 +174,21 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     started = time.monotonic()
     m = build_matrix(Parity(args.parity), args.n, args.a)
-    sol = eigen_decompose(m, Tier(args.tier))
-    dist = np.abs(sol.eigenvalues - args.eta)
-    k = int(np.argmin(dist)) + 1
-    if dist[k - 1] > args.eta_tol:
-        candidates = [float(sol.eigenvalues[i]) for i in np.argsort(dist)[:3]]
+    if args.points > MAX_POINTS or args.points * m.dim > MAX_PHASES:
+        raise InvalidArgumentError(
+            f"--points {args.points} at dimension {m.dim}: at most {MAX_POINTS} points and "
+            f"{MAX_PHASES} points x dimension")
+    pair = nearest_eigenpair(m, args.eta, Tier(args.tier))
+    k = pair.k
+    if abs(pair.eigenvalue - args.eta) > args.eta_tol:
+        spectrum = eigen_decompose(m, Tier(args.tier)).eigenvalues
+        candidates = [float(spectrum[i]) for i in np.argsort(np.abs(spectrum - args.eta))[:3]]
         sys.stderr.write(
             f"no eigenvalue within {args.eta_tol} of {args.eta}; nearest candidates: "
             + ", ".join(_fmt_float(c) for c in candidates) + "\n"
         )
         return 2
-    p = make_polynomial(sol, k)
+    p = TrigPolynomial(m.parity, Branch.PLUS, m.n, k, m.a, pair.eigenvalue, pair.eigenvector)
     xis = np.linspace(args.xi_min, args.xi_max, args.points)
     vals = polynomial_with_prefactor(p, xis) if args.with_prefactor else evaluate(p, xis)
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
@@ -186,7 +202,7 @@ def cmd_wavefunction(args) -> int:
     if args.format == "json":
         data = {
             "parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,
-            "eta": float(sol.eigenvalues[k - 1]), "k": k,
+            "eta": pair.eigenvalue, "k": k,
             "with_prefactor": bool(args.with_prefactor),
             "columns": ["xi", "re", "im", "abs"],
             "rows": [list(r) for r in rows],
@@ -336,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-tol", type=finite_float, default=0.5)
     p.add_argument("--xi-min", type=finite_float, default=-2 * np.pi)
     p.add_argument("--xi-max", type=finite_float, default=2 * np.pi)
-    p.add_argument("--points", type=int, default=1024)
+    p.add_argument("--points", type=int, default=1024,
+                   help=f"at most {MAX_POINTS}, and points x dimension at most {MAX_PHASES}")
     p.add_argument("--with-prefactor", action="store_true")
     p.add_argument("--strengths-out", default=None,
                    help="also write the harmonic strengths (r, D_r**2)")

@@ -11,10 +11,10 @@ the leading-principal-minor recurrence, which only involves the super*sub
 products. The number of eigenvalues below a shift equals the number of sign
 changes along it (the Sturm count), and the same pass carries the
 characteristic polynomial with its first two derivatives. Each LAPACK value
-is bracketed at 64 ulps of the spectral scale, the brackets are confirmed by
-Sturm counts, and steps to the root of a local quadratic model of the
-polynomial finish the value in a few passes while the counts tighten the
-brackets. Every result is certified by Sturm counts 1e-26 of the scale to
+is bracketed at 64 ulps of the spectral scale, and steps to the root of a
+local quadratic model of the polynomial finish the value in a few passes
+while the counts tighten the brackets; the first pass also confirms the
+brackets by counts at their ends. Every result is certified by Sturm counts 1e-26 of the scale to
 either side of it; bisection on the counts takes over for any label that is
 not. The compensated recurrence resolves eigenvalue pairs splitting around
 the 12th significant digit, below one ulp of the values themselves.
@@ -33,6 +33,10 @@ splitting is below arithmetic resolution; members are matched to eigenvalues
 by the compensated two-sided Rayleigh quotient, compared as (hi, lo) pairs.
 The vectors are then mapped back through the diagonal similarity scaling,
 D = v / d.
+
+nearest_eigenpair runs the same stages on the few labels around one eta
+(_window), and at the extended tier on labels 1 and dim, which set the
+spectral scale; its eigenpair is that of the full solve, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +111,17 @@ class SpectralSolution(HarmonicLayout):
         return float(self.eigenvalues[k - 1]), float(lo)
 
 
+class Eigenpair(NamedTuple):
+    """Row k of a solution: label k (1-based, descending), the eigenvalue,
+    its double-double correction (0.0 at the double tier) and the normalized,
+    sign-fixed coefficient vector."""
+
+    k: int
+    eigenvalue: float
+    eigenvalue_lo: float
+    eigenvector: np.ndarray
+
+
 def symmetrize(m: TridiagonalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrizing data: off-diagonals c_j = sqrt(super_j*sub_j) and the
     positive diagonal scaling d (d[0] = 1) with diag(d) m diag(d)^-1
@@ -161,13 +177,16 @@ _TARGET = 1e-26
 _NEWTON_PASSES = 32
 
 
-def _count_dd(diag, g_dd, xh, xl, derivs=False):
+def _count_dd(diag, g_dd, xh, xl, derivs=False, count_cols=0):
     """Sturm counts at the double-double shifts xh + xl, from one pass of the
     minor recurrence in double-double arithmetic. With derivs it returns
     (counts, ph, pl, ex) instead: ph + pl is the (3, k) stack of the last
     minor p = det(T - x), p' and p''/2, all three times the same 2**-ex.
     They follow the recurrence of the minors, differentiated:
     P_j = (d_j - x) P_{j-1} - g_{j-1} P_{j-2} - (0, p_{j-1}, p'_{j-1}).
+    The first count_cols columns of a derivs pass carry the count only: their
+    p' and p''/2 rows stay zero, so each column's count, and each other
+    column's p, p', p''/2 and exponent, is that of a pass of its own kind.
 
     Every float operation is that of ddcore's dd_mul and dd_sub; only the
     numpy calls around them are fewer. Each factor is split once for both
@@ -184,7 +203,7 @@ def _count_dd(diag, g_dd, xh, xl, derivs=False):
     p2l, p1h, p1l = np.zeros_like(p2h), np.zeros_like(p2h), np.zeros_like(p2h)
     p2h[0], p1h[0], p1l[0] = 1.0, th[0], tl[0]
     if derivs:
-        p1h[1] = -1.0
+        p1h[1, count_cols:] = -1.0
     s1, s2 = ddc.split(p1h), ddc.split(p2h)
     a2 = np.abs(p1h)
     ex = np.zeros(xh.shape, dtype=np.int64)
@@ -199,7 +218,8 @@ def _count_dd(diag, g_dd, xh, xl, derivs=False):
         bh, bl = ddc.dd_mul_split(ghj, glj, gsj, p2h, p2l, s2)
         ph, pl = ddc.dd_sub(ah, al, bh, bl)
         if derivs:
-            ph[1:], pl[1:] = ddc.dd_sub(ph[1:], pl[1:], p1h[:-1], p1l[:-1])
+            nc = slice(count_cols, None)
+            ph[1:, nc], pl[1:, nc] = ddc.dd_sub(ph[1:, nc], pl[1:, nc], p1h[:-1, nc], p1l[:-1, nc])
         p2h, p2l, s2, p1h, p1l = p1h, p1l, s1, ph, pl
         a1 = np.abs(p1h)
         mx = np.maximum(a1, a2).max(axis=0)
@@ -336,11 +356,14 @@ def _dd_less(a, b):
     return (a[0] < b[0]) | ((a[0] == b[0]) & (a[1] < b[1]))
 
 
-def _refine_dd(diag, g_dd, ks, x0, loh, hih, target):
+def _refine_dd(diag, g_dd, ks, x0, loh, hih, target, fallback):
     """Eigenvalues number ks (ascending, 1-based) of the double-double problem
     (diag, g_dd) as (hi, lo) arrays, each certified by Sturm counts to lie
-    within target of its count transition. The float64 brackets (loh, hih)
-    must hold count(lo) <= k-1 and count(hi) >= k, and contain x0.
+    within target of its count transition. The float64 seed brackets
+    (loh, hih) contain x0; the first pass confirms them by counts at their
+    ends, and an end that fails count(lo) <= k-1 or count(hi) >= k (float64
+    rounding bias) falls back to that end of the interval fallback, which
+    must hold every eigenvalue.
 
     Each pass evaluates the count, p, p' and p''/2 at the current point of
     every unfinished label, tightens its bracket by the count, and takes the
@@ -354,11 +377,18 @@ def _refine_dd(diag, g_dd, ks, x0, loh, hih, target):
     x, lo, hi = (np.array([v, zero], dtype=float) for v in (x0, loh, hih))
     out = np.full((2, ks.size), np.nan)
     act = np.arange(ks.size)
+    ends = np.concatenate([loh, hih])  # count-only columns of the first pass
     for _ in range(_NEWTON_PASSES):
         if not act.size:
             break
         xa, k = x[:, act], ks[act]
-        cnt, ph, pl, _ = _count_dd(diag, g_dd, *xa, derivs=True)
+        cnt, ph, pl, _ = _count_dd(diag, g_dd, np.concatenate([ends, xa[0]]),
+                                   np.concatenate([np.zeros_like(ends), xa[1]]),
+                                   derivs=True, count_cols=ends.size)
+        if ends.size:
+            lo[0] = np.where(cnt[:ks.size] > ks - 1, fallback[0], loh)
+            hi[0] = np.where(cnt[ks.size:ends.size] < ks, fallback[1], hih)
+            cnt, ph, pl, ends = cnt[ends.size:], ph[:, ends.size:], pl[:, ends.size:], ends[:0]
         up = cnt >= k
         hi[:, act] = np.where(up, xa, hi[:, act])
         lo[:, act] = np.where(up, lo[:, act], xa)
@@ -387,20 +417,15 @@ def _eigenvalues_dd(problem, seeds: np.ndarray,
     the ascending indices idx (all by default), seeded from its ascending
     float64 estimates seeds; (hi, lo) arrays in the problem's units.
 
-    Each seed is bracketed at +-64 ulps of the spectral scale; one count pass
-    over both ends confirms the brackets, and an end that fails (float64
-    rounding bias) falls back to the Gershgorin interval."""
+    Each seed is bracketed at +-64 ulps of the spectral scale; the first pass
+    of _refine_dd confirms the brackets, and an end that fails falls back to
+    the Gershgorin interval."""
     diag, c, g_dd, e = problem
     idx = np.arange(diag.size) if idx is None else np.asarray(idx)
-    ks = idx + 1
     scale = float(np.max(np.abs(seeds)))
     x0 = seeds[idx]
-    loh, hih = x0 - _SEED_PAD * scale, x0 + _SEED_PAD * scale
-    cnt = _count_dd(diag, g_dd, np.concatenate([loh, hih]), 0.0)
-    glo, ghi = _gershgorin(diag, c)
-    loh = np.where(cnt[:idx.size] > ks - 1, glo, loh)
-    hih = np.where(cnt[idx.size:] < ks, ghi, hih)
-    eh, el = _refine_dd(diag, g_dd, ks, x0, loh, hih, _TARGET * scale)
+    eh, el = _refine_dd(diag, g_dd, idx + 1, x0, x0 - _SEED_PAD * scale, x0 + _SEED_PAD * scale,
+                        _TARGET * scale, _gershgorin(diag, c))
     # a refined value far outside its seed bracket means the compensated
     # recurrence broke down
     stray = np.abs((eh + el) - x0) > 1e-8 * scale
@@ -487,10 +512,11 @@ def _inverse_sweeps(dsym, c, mu, v, clusters):
     return v
 
 
-def _cluster_slices(vals_desc: np.ndarray) -> list[slice]:
+def _cluster_slices(vals_desc: np.ndarray, scale: float | None = None) -> list[slice]:
     """Runs of the descending values cut wherever a gap is not at most
-    _CLUSTER_RELGAP * max|value|."""
-    scale = float(np.max(np.abs(vals_desc)))
+    _CLUSTER_RELGAP * scale, by default scale = max|value|."""
+    if scale is None:
+        scale = float(np.max(np.abs(vals_desc)))
     cuts = np.flatnonzero(~(vals_desc[:-1] - vals_desc[1:] <= _CLUSTER_RELGAP * scale)) + 1
     bounds = [0, *cuts.tolist(), vals_desc.size]
     return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
@@ -563,42 +589,87 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
 
 def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralSolution:
     """All eigenvalues (descending) and normalized coefficient vectors."""
-    dim = m.dim
-    want_lo = tier is Tier.EXTENDED
+    _, vals, lo, vecs, _ = _solve(m, tier)
+    return SpectralSolution(m.parity, m.n, m.a, vals, vecs, tier,
+                            lo if tier is Tier.EXTENDED else None)
 
-    if m.a == 0 or dim == 1:
+
+def nearest_eigenpair(m: TridiagonalMatrix, eta: float, tier: Tier = Tier.DOUBLE) -> Eigenpair:
+    """The eigenpair whose eigenvalue is nearest eta, the lower label on a
+    tie: row k of eigen_decompose(m, tier), bit for bit. Only the labels
+    around eta are solved (_window), and only the residuals of label k's
+    cluster are checked."""
+    start, vals, lo, vecs, i = _solve(m, tier, _finite(eta, "eta"))
+    return Eigenpair(start + i + 1, float(vals[i]), float(lo[i]), vecs[i])
+
+
+def _window(vals_desc: np.ndarray, eta: float) -> slice:
+    """Labels whose eigenpairs nearest_eigenpair solves: the cluster of the
+    LAPACK value (in vals_desc) nearest eta and the clusters on either side
+    of it, all cut at twice the cluster gap. Refinement moves a value by at
+    most 1e-8 of the scale, so the refined values still cut the clusters of
+    the vector stage at both ends of the window, and the refined value
+    nearest eta lies inside it: in that cluster, or in the next one on the
+    other side of eta."""
+    k = int(np.argmin(np.abs(vals_desc - eta)))
+    wide = _cluster_slices(vals_desc, 2.0 * float(np.max(np.abs(vals_desc))))
+    j = next(i for i, sl in enumerate(wide) if sl.stop > k)
+    return slice(wide[max(j - 1, 0)].start, wide[min(j + 1, len(wide) - 1)].stop)
+
+
+def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
+    """The stages of eigen_decompose on a window of labels: all of them, or
+    the _window around eta. Returns (start, vals, lo, vecs, i): the window's
+    first label (0-based), its descending eigenvalues with their
+    double-double corrections (zero at the double tier), its coefficient
+    vectors as rows, and the row nearest eta (None without eta). The
+    residuals are checked on every row, or on the cluster of row i.
+
+    At the extended tier labels 1 and dim are refined with the window: their
+    values set max|eta|, the scale of the clusters. Every stage treats each
+    label, or each cluster, on its own, so a row does not depend on the rest
+    of the window, bit for bit; the window holds whole clusters and, for
+    dim > 1, at least two labels, as numpy sums a one-column block in another
+    order. Only _bisect_dd, a fallback that bisects until every bracket is
+    narrow, couples the labels."""
+    dim = m.dim
+    if m.a == 0 or dim == 1:  # the diagonal holds the eigenvalues
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
         vecs = _rotate_clusters(m, _cluster_slices(vals), np.eye(dim)[:, order], np.ones(dim))
-        vecs = _fix_signs(vecs.T)
-        return SpectralSolution(m.parity, m.n, m.a, vals, vecs, tier,
-                                np.zeros(dim) if want_lo else None)
+        i = None if eta is None else int(np.argmin(np.abs(vals - eta)))
+        return 0, vals, np.zeros(dim), _fix_signs(vecs.T), i
 
     diag, c, _, e = problem = _scaled_problem(m)
     asc, v = _lapack_eigh(diag, c)
-    asc_lo = np.zeros(dim)
-    if want_lo:
-        eh, el = _eigenvalues_dd(problem, asc)
-        asc = eh + el  # best float64 rounding of the compensated value
-        asc_lo = (eh - asc) + el
-    vals_desc = np.ldexp(asc[::-1], e)
-    vlo_desc = np.ldexp(asc_lo[::-1], e)
+    vals, lo = np.ldexp(asc[::-1], e), np.zeros(dim)
+    win = slice(0, dim) if eta is None else _window(vals, eta)
+    final = np.arange(dim)  # labels whose values are final
+    if tier is Tier.EXTENDED:
+        final = np.union1d([0, dim - 1], final[win])
+        eh, el = _eigenvalues_dd(problem, asc, dim - 1 - final[::-1])
+        hi = eh + el  # best float64 rounding of the compensated value
+        vals[final], lo[final] = np.ldexp(hi[::-1], e), np.ldexp(((eh - hi) + el)[::-1], e)
+    clusters = _cluster_slices(vals[win], float(np.max(np.abs(vals[final]))))
+    vals, lo = vals[win], lo[win]
     dscale = _similarity_scale(m)
 
-    clusters = _cluster_slices(vals_desc)
-    v = _inverse_sweeps(m.diag.astype(float), np.ldexp(c, e), vals_desc, v[:, ::-1], clusters)
+    v = _inverse_sweeps(m.diag.astype(float), np.ldexp(c, e), vals, v[:, ::-1][:, win], clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
     with np.errstate(over="ignore", invalid="ignore"):
         vecs = (v / dscale[:, None]).T
         norm = np.sqrt(np.sum(vecs**2, axis=1))
     if not np.all(np.isfinite(norm)):
-        k = int(np.argmax(~np.isfinite(norm))) + 1
+        k = win.start + int(np.argmax(~np.isfinite(norm))) + 1
         raise NumericalFailureError(f"back-transform of label k={k} overflows "
                                     f"(smallest scale factor {float(np.min(dscale))!r})")
     vecs = _fix_signs(vecs / norm[:, None])
-    sol = SpectralSolution(m.parity, m.n, m.a, vals_desc, vecs, tier, vlo_desc if want_lo else None)
-    _check_residuals(m, sol)
-    return sol
+    i, rows = None, slice(0, vals.size)
+    if eta is not None:
+        i = int(np.argmin(np.abs(vals - eta)))
+        rows = next(sl for sl in clusters if sl.stop > i)
+    _check_residuals(m, vals[rows], vecs[rows], win.start + rows.start)
+    return win.start, vals, lo, vecs, i
 
 
 def eigenpair_residuals(m: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -610,13 +681,14 @@ def eigenpair_residuals(m: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray
     return np.max(np.abs(t), axis=1)
 
 
-def _check_residuals(m: TridiagonalMatrix, sol: SpectralSolution):
-    vals = sol.eigenvalues
-    res = eigenpair_residuals(m, vals, sol.eigenvectors)
+def _check_residuals(m: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray, first: int = 0):
+    """Raise unless every row of vecs, label first + 1 onwards, is an
+    eigenvector of m at vals within 1e-10 * (|eta| + a*dim + 1)."""
+    res = eigenpair_residuals(m, vals, vecs)
     bad = ~(res <= 1e-10 * (np.abs(vals) + m.a * m.dim + 1.0))  # a NaN residual fails too
     if np.any(bad):
         raise NumericalFailureError(
-            f"eigenpair residual out of tolerance for label k={int(np.argmax(bad)) + 1}")
+            f"eigenpair residual out of tolerance for label k={first + int(np.argmax(bad)) + 1}")
 
 
 def refine_eigenvalue(m: TridiagonalMatrix, eta0: float,
@@ -669,9 +741,8 @@ def eigenvector_for(m: TridiagonalMatrix, eta: float) -> np.ndarray:
     """
     eta = _finite(eta, "eta")
     tol = 1e-10 * (abs(eta) + m.a * m.dim + 1.0)
-    sol = eigen_decompose(m, Tier.DOUBLE)
-    k = int(np.argmin(np.abs(sol.eigenvalues - eta)))
-    if abs(sol.eigenvalues[k] - eta) > tol:
+    pair = nearest_eigenpair(m, eta)
+    if abs(pair.eigenvalue - eta) > tol:
         raise InvalidArgumentError(f"eta={eta!r} is not within {tol:.3e} of an eigenvalue "
-                                   f"(nearest: {float(sol.eigenvalues[k])!r})")
-    return sol.eigenvectors[k].copy()
+                                   f"(nearest: {pair.eigenvalue!r})")
+    return pair.eigenvector

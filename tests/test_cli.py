@@ -127,6 +127,21 @@ def test_wavefunction_eta_selector_failure(tmp_path, capsys):
     assert "nearest candidates" in err
 
 
+@pytest.mark.parametrize("parity,n,points", [
+    ("odd", 0, 2**18 + 1),  # over the bound on points
+    ("even", 15, 2**22 // 30 + 1),  # over the bound on points x dim
+    ("odd", 15, 100_000_000),  # a 48 GB phase matrix
+])
+def test_wavefunction_points_bounded(tmp_path, capsys, parity, n, points):
+    # refused, exit 2, before the solve and the trace; only refused values run
+    out = tmp_path / "w.csv"
+    assert run(tmp_path, "wavefunction", "--parity", parity, "--n", str(n), "--a", "12",
+               "--eta", "0", "--eta-tol", "1e9", "--points", str(points), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --points") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a,eta", [
     ("5000", "2000"),  # e^(a/4) = e^1250 at xi = pi is beyond float range
     ("2839", "-14189"),  # e^709.75 is finite, but |f(pi)| = 2.0 for this label
@@ -404,3 +419,11 @@ def test_flat_float_lists_render_as_the_generic_path():
                                                                [np.array(r) for r in rows])
     assert _csv_lines(["x", "y", "z"], [(1, -0.0, None), (True, math.nan, 5e-324)]) == \
         "x,y,z\n1,-0,\ntrue,NaN,4.9406564584124654e-324\n"
+    # 4-float rows without a NaN, as a wavefunction trace writes them, take
+    # the one-call path; a NaN sends a row or a list to the per-value one
+    finite = [tuple(SPECIAL_FLOATS[i:i + 4]) for i in range(1, len(SPECIAL_FLOATS) - 3, 4)]
+    assert _csv_lines(["a", "b", "c", "d"], finite) == _csv_lines(["a", "b", "c", "d"],
+                                                                 [np.array(r) for r in finite])
+    assert _csv_lines(["a", "b"], [(0.5, math.nan)]) == "a,b\n0.5,NaN\n"
+    assert render_json([0.5, math.nan, -1e308]) == "[0.5, NaN, -1e+308]"
+    assert render_json([0.5, math.inf, -math.inf]) == "[0.5, inf, -inf]"

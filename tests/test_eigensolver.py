@@ -10,15 +10,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from incewave import ddcore as ddc
 from incewave import eigensolver as es
 from incewave.eigensolver import (Tier, char_poly_eval, char_poly_scaled, eigen_decompose,
-                                  eigenvector_for, refine_eigenvalue, refine_eigenvalue_dd,
-                                  sturm_count, symmetrize)
+                                  eigenvector_for, nearest_eigenpair, refine_eigenvalue,
+                                  refine_eigenvalue_dd, sturm_count, symmetrize)
 from incewave.errors import InvalidArgumentError, InvalidBracketError, NumericalFailureError
 from incewave.ince_matrix import build_even_matrix, build_odd_matrix
 
@@ -195,6 +195,45 @@ def test_eigenvector_for_examples():
         eigenvector_for(m, 5.0)
 
 
+@given(parity=st.booleans(), n=st.integers(0, 60), log_a=st.floats(-12.0, 300.0),
+       tier=st.sampled_from(Tier), u=st.floats(0.0, 1.0, exclude_max=True), mid=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_nearest_eigenpair_is_a_row_of_eigen_decompose(parity, n, log_a, tier, u, mid):
+    # eta at a label or at the midpoint to the next one; a tie takes the
+    # lower label, as np.argmin does
+    m = build_even_matrix(max(n, 1), 10.0**log_a) if parity else build_odd_matrix(n, 10.0**log_a)
+    try:
+        sol = eigen_decompose(m, tier)
+    except NumericalFailureError:  # the cluster rotation at a ~ 30-300 (ROADMAP item 1)
+        assume(False)
+    vals = sol.eigenvalues
+    j = int(u * m.dim)
+    eta = float(vals[j])
+    if mid and j + 1 < m.dim:
+        eta = 0.5 * (eta + float(vals[j + 1]))
+    k = int(np.argmin(np.abs(vals - eta))) + 1
+    pair = nearest_eigenpair(m, eta, tier)
+    assert pair.k == k
+    assert np.float64(pair.eigenvalue).tobytes() == vals[k - 1].tobytes()
+    assert np.float64(pair.eigenvalue_lo).tobytes() == np.float64(sol.eigenvalue_dd(k)[1]).tobytes()
+    assert pair.eigenvector.tobytes() == sol.eigenvectors[k - 1].tobytes()
+
+
+def test_nearest_eigenpair_solves_the_window_only():
+    # odd n=40, a=0.5: its pairs are clusters; the refinement runs on the
+    # clusters around eta and the two ends of the spectrum, and label 1's
+    # residual is not checked
+    m = build_odd_matrix(40, 0.5)
+    sol = eigen_decompose(m, Tier.EXTENDED)
+    with mock.patch.object(es, "_eigenvalues_dd", wraps=es._eigenvalues_dd) as spy, \
+            mock.patch.object(es, "_check_residuals", wraps=es._check_residuals) as check:
+        pair = nearest_eigenpair(m, float(sol.eigenvalues[40]), Tier.EXTENDED)
+    idx = spy.call_args.args[2]  # ascending
+    assert pair.k in (40, 41) and {0, m.dim - pair.k, m.dim - 1} <= set(idx.tolist())
+    assert len(idx) <= 10
+    assert check.call_count == 1 and 1 <= len(check.call_args.args[1]) <= 2
+
+
 def test_sturm_count_against_spectrum():
     m = build_even_matrix(15, 12.0)
     vals = eigen_decompose(m).eigenvalues
@@ -319,6 +358,33 @@ def test_count_dd_matches_reference_on_hand_made_cases():
     m = build_odd_matrix(5, 12.0)
     diag, _, g_dd, _ = es._scaled_problem(m)
     _assert_count_dd_matches_reference(diag, g_dd, np.empty(0), np.empty(0))
+
+
+@pytest.mark.parametrize("builder,n,a,count_at,newton_at", [
+    (build_odd_matrix, 15, 12.0, "eigenvalues", "ends"),
+    (build_even_matrix, 100, 12.0, "eigenvalues", "ends"),  # count columns rescale up
+    (build_even_matrix, 100, 12.0, "ends", "eigenvalues"),  # Newton columns rescale up
+    (build_even_matrix, 160, 12.0, "below", "eigenvalues"),  # count columns rescale down
+    (build_even_matrix, 160, 12.0, "eigenvalues", "below"),  # Newton columns rescale down
+])
+def test_count_dd_mixed_columns_match_reference_passes(builder, n, a, count_at, newton_at):
+    # the first pass of _refine_dd: count-only columns ahead of Newton columns;
+    # each kind must equal its own reference pass in bytes, whichever columns
+    # set off a rescale
+    m = builder(n, a)
+    diag, c, g_dd, _ = es._scaled_problem(m)
+    vals = es._lapack_eigh(diag, c)[0]
+    glo, ghi = es._gershgorin(diag, c)
+    shifts = {"eigenvalues": vals, "ends": np.array([glo, ghi]), "below": np.array([glo - 8.0])}
+    xc, xn = shifts[count_at], shifts[newton_at]
+    lc, ln = np.zeros(xc.size), np.full(xn.size, 1e-20)
+    cnt, ph, pl, ex = es._count_dd(diag, g_dd, np.concatenate([xc, xn]), np.concatenate([lc, ln]),
+                                   derivs=True, count_cols=xc.size)
+    assert cnt[:xc.size].tobytes() == _count_dd_reference(diag, g_dd, xc, lc).tobytes()
+    ref = _count_dd_reference(diag, g_dd, xn, ln, derivs=True)
+    for name, x, y in zip(("counts", "ph", "pl", "ex"), (cnt, ph, pl, ex), ref):
+        assert x[..., xc.size:].tobytes() == y.tobytes(), name
+    assert not np.any(ph[1:, :xc.size]) and not np.any(pl[1:, :xc.size])
 
 
 def _char_poly_mp(m, eta):
@@ -523,15 +589,14 @@ def test_eigenvectors_match_mpmath_reference(mpmath_vectors_a12, parity, tier, n
 
 def test_residual_check_rejects_non_finite_rows():
     # NaN > tol is False; the check must still fail on a NaN row
-    from incewave.eigensolver import SpectralSolution, _check_residuals
+    from incewave.eigensolver import _check_residuals
 
     m = build_even_matrix(3, 1.0)
     sol = eigen_decompose(m)
     vecs = sol.eigenvectors.copy()
     vecs[2, 1] = np.nan
-    bad = SpectralSolution(m.parity, m.n, m.a, sol.eigenvalues.copy(), vecs, sol.refinement)
     with pytest.raises(NumericalFailureError, match="k=3"):
-        _check_residuals(m, bad)
+        _check_residuals(m, sol.eigenvalues, vecs)
 
 
 @pytest.mark.filterwarnings("error")
@@ -638,8 +703,12 @@ def test_extended_values_certified_and_match_bisection(parity, n, log_a):
     seeds = es._lapack_eigh(*problem[:2])[0]
     with mock.patch.object(es, "_refine_dd", wraps=es._refine_dd) as spy:
         xh, xl = es._eigenvalues_dd(problem, seeds)
-    diag, g_dd, ks, _, loh, hih, target = spy.call_args.args
+    diag, g_dd, ks, _, loh, hih, target, (glo, ghi) = spy.call_args.args
     assert target == 1e-26 * float(np.max(np.abs(seeds)))
+    # the seed brackets, confirmed by counts at their ends as _refine_dd does
+    cnt = es._count_dd(diag, g_dd, np.concatenate([loh, hih]), 0.0)
+    loh = np.where(cnt[:ks.size] > ks - 1, glo, loh)
+    hih = np.where(cnt[ks.size:] < ks, ghi, hih)
     assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, -target, 0.0)) <= ks - 1)
     assert np.all(es._count_dd(diag, g_dd, *ddc.dd_add(xh, xl, target, 0.0)) >= ks)
     zero = np.zeros(ks.shape)
