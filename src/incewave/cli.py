@@ -26,7 +26,7 @@ from .eigensolver import Tier, eigen_decompose, nearest_eigenpair
 from .errors import InvalidArgumentError
 from .ince_matrix import Parity, build_matrix
 from .physics import derive_config, momentum_spectrum
-from .polynomials import Branch, TrigPolynomial, evaluate, harmonic_strengths
+from .polynomials import evaluate, harmonic_strengths, polynomial_from_pair
 from .verify import verification_report
 from .wavefunction import polynomial_with_prefactor
 
@@ -47,10 +47,8 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_floats(items, sep: str) -> str:
-    """_fmt_float of each plain float, joined by sep, in one formatting call;
-    "%.17g" spells NaN "nan", so a NaN takes the per-value path."""
-    text = sep.join(["%.17g"] * len(items)) % tuple(items)
-    return sep.join(map(_fmt_float, items)) if "nan" in text else text
+    """_fmt_float of each plain float, joined by sep, in one formatting call."""
+    return (sep.join(["%.17g"] * len(items)) % tuple(items)).replace("nan", "NaN")
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -188,7 +186,7 @@ def cmd_wavefunction(args) -> int:
             + ", ".join(_fmt_float(c) for c in candidates) + "\n"
         )
         return 2
-    p = TrigPolynomial(m.parity, Branch.PLUS, m.n, k, m.a, pair.eigenvalue, pair.eigenvector)
+    p = polynomial_from_pair(m, pair)
     xis = np.linspace(args.xi_min, args.xi_max, args.points)
     vals = polynomial_with_prefactor(p, xis) if args.with_prefactor else evaluate(p, xis)
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier,

@@ -302,17 +302,20 @@ def _gershgorin(diag: np.ndarray, c: np.ndarray) -> tuple[float, float]:
 
 def _bisect_dd(diag, g_dd, loh, lol, hih, hil, ks, target, max_iter=160):
     """Bisection on double-double Sturm counts: the midpoints of the brackets
-    of eigenvalues number ks (ascending, 1-based) once every bracket is at
-    most target wide. Each bracket must hold count(lo) <= k-1 and
+    of eigenvalues number ks (ascending, 1-based), each bisected until it is
+    at most target wide and then left alone, so a label's value does not
+    depend on the others. Each bracket must hold count(lo) <= k-1 and
     count(hi) >= k."""
     width = (hih - loh) + (hil - lol)
     for _ in range(max_iter):
         mh, ml = ddc.dd_scale_pow2(*ddc.dd_add(loh, lol, hih, hil), 0.5)
         take = _count_dd(diag, g_dd, mh, ml) >= ks
-        hih = np.where(take, mh, hih)
-        hil = np.where(take, ml, hil)
-        loh = np.where(take, loh, mh)
-        lol = np.where(take, lol, ml)
+        wide = width > target
+        up, down = wide & take, wide & ~take
+        hih = np.where(up, mh, hih)
+        hil = np.where(up, ml, hil)
+        loh = np.where(down, mh, loh)
+        lol = np.where(down, ml, lol)
         width = (hih - loh) + (hil - lol)
         if np.all(width <= target):
             return ddc.dd_scale_pow2(*ddc.dd_add(loh, lol, hih, hil), 0.5)
@@ -630,8 +633,7 @@ def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
     label, or each cluster, on its own, so a row does not depend on the rest
     of the window, bit for bit; the window holds whole clusters and, for
     dim > 1, at least two labels, as numpy sums a one-column block in another
-    order. Only _bisect_dd, a fallback that bisects until every bracket is
-    narrow, couples the labels."""
+    order."""
     dim = m.dim
     if m.a == 0 or dim == 1:  # the diagonal holds the eigenvalues
         order = np.argsort(-m.diag, kind="stable")

@@ -28,9 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .eigensolver import SpectralSolution
+from .eigensolver import Eigenpair, SpectralSolution
 from .errors import InvalidArgumentError
-from .ince_matrix import HarmonicLayout, Parity
+from .ince_matrix import HarmonicLayout, Parity, TridiagonalMatrix
 
 
 class Branch(Enum):
@@ -52,12 +52,19 @@ class TrigPolynomial(HarmonicLayout):
         self.coeffs.setflags(write=False)
 
 
+def polynomial_from_pair(source: TridiagonalMatrix | SpectralSolution, pair: Eigenpair,
+                         branch: Branch = Branch.PLUS) -> TrigPolynomial:
+    """Polynomial of one solved eigenpair of the matrix or solution source."""
+    return TrigPolynomial(source.parity, branch, source.n, pair.k, source.a,
+                          pair.eigenvalue, pair.eigenvector)
+
+
 def make_polynomial(sol: SpectralSolution, k: int, branch: Branch = Branch.PLUS) -> TrigPolynomial:
     """Polynomial for eigenvalue label k (1-based, descending order)."""
     if not 1 <= k <= sol.dim:
         raise InvalidArgumentError(f"label k={k} outside 1..{sol.dim}")
-    return TrigPolynomial(sol.parity, branch, sol.n, k, sol.a,
-                          float(sol.eigenvalues[k - 1]), sol.eigenvectors[k - 1].copy())
+    pair = Eigenpair(k, float(sol.eigenvalues[k - 1]), 0.0, sol.eigenvectors[k - 1].copy())
+    return polynomial_from_pair(sol, pair, branch)
 
 
 def harmonic_sum(freqs: np.ndarray, coeffs: np.ndarray, xi, branch: Branch):

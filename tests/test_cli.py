@@ -419,8 +419,8 @@ def test_flat_float_lists_render_as_the_generic_path():
                                                                [np.array(r) for r in rows])
     assert _csv_lines(["x", "y", "z"], [(1, -0.0, None), (True, math.nan, 5e-324)]) == \
         "x,y,z\n1,-0,\ntrue,NaN,4.9406564584124654e-324\n"
-    # 4-float rows without a NaN, as a wavefunction trace writes them, take
-    # the one-call path; a NaN sends a row or a list to the per-value one
+    # 4-float rows, as a wavefunction trace writes them, and rows or lists
+    # holding a NaN take the one-call path too
     finite = [tuple(SPECIAL_FLOATS[i:i + 4]) for i in range(1, len(SPECIAL_FLOATS) - 3, 4)]
     assert _csv_lines(["a", "b", "c", "d"], finite) == _csv_lines(["a", "b", "c", "d"],
                                                                  [np.array(r) for r in finite])

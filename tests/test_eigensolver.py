@@ -219,6 +219,25 @@ def test_nearest_eigenpair_is_a_row_of_eigen_decompose(parity, n, log_a, tier, u
     assert pair.eigenvector.tobytes() == sol.eigenvectors[k - 1].tobytes()
 
 
+@pytest.mark.parametrize("builder,n,a", [(build_even_matrix, 15, 12.0), (build_odd_matrix, 40, 0.5)])
+def test_nearest_eigenpair_matches_on_the_bisection_fallback(monkeypatch, builder, n, a):
+    # with no model step every label ends in _bisect_dd, the whole spectrum
+    # in one call and the window in another; each bracket is bisected on its
+    # own, so the rows still agree bit for bit
+    m = builder(n, a)
+    monkeypatch.setattr(es, "_model_step", lambda ph, pl, gap: np.full(gap.shape, np.nan))
+    with mock.patch.object(es, "_bisect_dd", wraps=es._bisect_dd) as spy:
+        sol = eigen_decompose(m, Tier.EXTENDED)
+        for k in (1, 2, m.dim // 2, m.dim):
+            pair = nearest_eigenpair(m, float(sol.eigenvalues[k - 1]), Tier.EXTENDED)
+            assert pair.k == k
+            assert np.float64(pair.eigenvalue).tobytes() == sol.eigenvalues[k - 1].tobytes()
+            assert (np.float64(pair.eigenvalue_lo).tobytes()
+                    == np.float64(sol.eigenvalue_dd(k)[1]).tobytes())
+            assert pair.eigenvector.tobytes() == sol.eigenvectors[k - 1].tobytes()
+    assert spy.call_count == 5 and spy.call_args_list[0].args[6].size == m.dim
+
+
 def test_nearest_eigenpair_solves_the_window_only():
     # odd n=40, a=0.5: its pairs are clusters; the refinement runs on the
     # clusters around eta and the two ends of the spectrum, and label 1's
@@ -743,6 +762,25 @@ def test_extended_pairs_below_seed_error_take_few_passes(builder, n, a):
         eigen_decompose(m, Tier.EXTENDED)
     assert sum(bool(c.kwargs.get("derivs")) for c in count.call_args_list) <= 6
     assert bisect.call_count == 0
+
+
+def test_bisection_treats_each_bracket_on_its_own():
+    # brackets of unequal width need unequal numbers of halvings; a label
+    # bisected with others gets the bytes it gets alone
+    m = build_even_matrix(15, 12.0)
+    diag, c, g_dd, _ = es._scaled_problem(m)
+    seeds = es._lapack_eigh(diag, c)[0]
+    scale = float(np.max(np.abs(seeds)))
+    ks = np.array([1, 5, 12, 20])
+    glo, ghi = es._gershgorin(diag, c)
+    lo = np.array([glo, seeds[4] - 1e-10 * scale, seeds[11] - 1e-3 * scale, glo])
+    hi = np.array([seeds[0] + 1e-14 * scale, seeds[4] + 1e-10 * scale, ghi, ghi])
+    zero, target = np.zeros(ks.size), 1e-26 * scale
+    together = es._bisect_dd(diag, g_dd, lo, zero, hi, zero, ks, target)
+    for i in range(ks.size):
+        alone = es._bisect_dd(diag, g_dd, lo[i:i + 1], zero[:1], hi[i:i + 1], zero[:1],
+                              ks[i:i + 1], target)
+        assert np.array(alone).tobytes() == np.array(together)[:, i:i + 1].tobytes()
 
 
 def test_bisection_raises_when_out_of_iterations():
