@@ -57,6 +57,19 @@ WAVES = [
     )
 ]
 
+# each cluster size the vector stage stacks: one cluster of 3 (even n=120), of
+# 4 (odd n=150) and of 5 (even n=200) among pairs; and the --eta-tol failure
+# where the full vector stage raises (at even n=40, a=100)
+SIZES = [
+    command
+    for parity, n, a in (("even", 120, "1e-6"), ("odd", 150, "1e-9"), ("even", 200, "1e-9"))
+    for command in (
+        *(f"spectrum --parity {parity} --n {n} --a {a} --tier {tier} --format csv --out spec.csv"
+          for tier in ("double", "extended")),
+        f"verify --parity {parity} --n {n} --a {a}",
+    )
+] + ["wavefunction --parity even --n 40 --a 100 --eta 1e6 --eta-tol 1 --out wave.csv"]
+
 
 def _digest(data: bytes) -> str:
     kept = [line for line in data.splitlines(keepends=True) if b'"wall_time_s":' not in line]
@@ -67,7 +80,10 @@ def run(command: str, scratch: str) -> list[str]:
     os.chdir(scratch)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(command.split())
+        try:
+            code = main(command.split())
+        except Exception as exc:  # an uncaught error is an outcome to compare too
+            code = f"raises {type(exc).__name__}: {exc}"
     lines = [f"{_digest(out.getvalue().encode())}  exit {code} stdout  {command}"]
     if err.getvalue():
         lines.append(f"{_digest(err.getvalue().encode())}  stderr  {command}")
@@ -80,7 +96,7 @@ def run(command: str, scratch: str) -> list[str]:
 if __name__ == "__main__":
     home = os.getcwd()
     try:
-        for command in README + SPECTRA + OTHERS + WAVES:
+        for command in README + SPECTRA + OTHERS + WAVES + SIZES:
             with tempfile.TemporaryDirectory() as scratch:
                 print("\n".join(run(command, scratch)))
     finally:

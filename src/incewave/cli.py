@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .eigensolver import Tier, eigen_decompose, nearest_eigenpair
+from .eigensolver import Tier, eigen_decompose, eigenvalues, nearest_eigenpair
 from .errors import InvalidArgumentError
 from .ince_matrix import Parity, build_matrix
 from .physics import derive_config, momentum_spectrum
@@ -179,7 +179,7 @@ def cmd_wavefunction(args) -> int:
     pair = nearest_eigenpair(m, args.eta, Tier(args.tier))
     k = pair.k
     if abs(pair.eigenvalue - args.eta) > args.eta_tol:
-        spectrum = eigen_decompose(m, Tier(args.tier)).eigenvalues
+        spectrum = eigenvalues(m, Tier(args.tier))
         candidates = [float(spectrum[i]) for i in np.argsort(np.abs(spectrum - args.eta))[:3]]
         sys.stderr.write(
             f"no eigenvalue within {args.eta_tol} of {args.eta}; nearest candidates: "

@@ -458,59 +458,99 @@ def _lapack_eigh(diag: np.ndarray, c: np.ndarray):
         raise NumericalFailureError(f"LAPACK eigh failed: {exc}") from exc
 
 
-def _solve_shifted(dshift, e, rhs):
-    """Solve T x = rhs for tridiagonal T(diag dshift, offdiag e) by Gaussian
-    elimination with partial pivoting; tiny pivots are replaced (the standard
-    inverse-iteration treatment of a numerically singular shift). dshift and
-    rhs may carry a trailing axis of k shifts, solved as k independent
-    systems that share e."""
-    shape = np.shape(dshift)
-    n = shape[0]
+def _factor_shifted(dshift, e):
+    """LU factorization by Gaussian elimination with partial pivoting of the
+    tridiagonal T(diag dshift, offdiag e); tiny pivots are replaced (the
+    standard inverse-iteration treatment of a numerically singular shift).
+    dshift may carry a trailing axis of k shifts, factored as k independent
+    systems that share e. Returns (piv, fact, dm, du, du2): the row exchange
+    and multiplier of each elimination step, and U's diagonal and two
+    superdiagonals, each (n or n - 1, k)."""
+    n = np.shape(dshift)[0]
     dm = np.array(dshift, dtype=float).reshape(n, -1)
-    x = np.array(rhs, dtype=float).reshape(dm.shape)
     du = np.repeat(np.reshape(e, (-1, 1)).astype(float), dm.shape[1], axis=1)
     du2 = np.zeros_like(du)
+    piv, fact = np.zeros(du.shape, dtype=bool), np.zeros_like(du)
     tiny = _EPS * (np.max(np.abs(dm), axis=0) + 2 * (np.max(np.abs(e)) if e.size else 0.0) + 1.0)
     for i in range(n - 1):
-        piv = np.abs(dm[i]) < abs(e[i])
-        dmi = np.where(piv, e[i], np.where(dm[i] == 0.0, tiny, dm[i]))
-        fact = np.where(piv, dm[i], e[i]) / dmi
-        nxt = dm[i + 1].copy()
-        dm[i] = dmi
-        dm[i + 1] = np.where(piv, du[i] - fact * nxt, nxt - fact * du[i])
+        p = np.abs(dm[i]) < abs(e[i])
+        dmi = np.where(p, e[i], np.where(dm[i] == 0.0, tiny, dm[i]))
+        f = np.where(p, dm[i], e[i]) / dmi
+        top, low = np.where(p, du[i], dm[i + 1]), np.where(p, dm[i + 1], du[i])
+        dm[i], dm[i + 1], du[i] = dmi, top - f * low, low
+        piv[i], fact[i] = p, f
         if i < n - 2:
-            du2[i] = np.where(piv, du[i + 1], 0.0)
-            du[i + 1] = np.where(piv, -fact * du[i + 1], du[i + 1])
-        du[i] = np.where(piv, nxt, du[i])
-        xi = x[i].copy()
-        x[i] = np.where(piv, x[i + 1], xi)
-        x[i + 1] = np.where(piv, xi - fact * x[i + 1], x[i + 1] - fact * xi)
+            du2[i] = np.where(p, du[i + 1], 0.0)
+            du[i + 1] = np.where(p, -f * du[i + 1], du[i + 1])
+    return piv, fact, np.where(dm != 0, dm, tiny), du, du2
+
+
+def _solve_factored(lu, rhs):
+    """Solve the systems factored by _factor_shifted for rhs, (n, k) or
+    (n,) for one system; returns x as (n, k)."""
+    piv, fact, dm, du, du2 = lu
+    x = np.array(rhs, dtype=float).reshape(dm.shape)
+    n = dm.shape[0]
+    for i in range(n - 1):
+        top = np.where(piv[i], x[i + 1], x[i])
+        x[i + 1] = np.where(piv[i], x[i], x[i + 1]) - fact[i] * top
+        x[i] = top
     for i in range(n - 1, -1, -1):
         acc = x[i]
         if i + 1 < n:
             acc = acc - du[i] * x[i + 1]
         if i + 2 < n:
             acc = acc - du2[i] * x[i + 2]
-        x[i] = acc / np.where(dm[i] != 0, dm[i], tiny)
-    return x.reshape(shape)
+        x[i] = acc / dm[i]
+    return x
+
+
+def _solve_shifted(dshift, e, rhs):
+    """Solve T x = rhs for tridiagonal T(diag dshift, offdiag e), factored by
+    _factor_shifted; dshift and rhs may carry a trailing axis of k shifts."""
+    return _solve_factored(_factor_shifted(dshift, e), rhs).reshape(np.shape(dshift))
+
+
+def _by_size(clusters: list[slice]) -> dict[int, np.ndarray]:
+    """The clusters of two or more labels grouped by size: for each size s,
+    the (K, s) column indices of its K clusters in ascending order."""
+    groups: dict[int, list[range]] = {}
+    for sl in clusters:
+        if sl.stop - sl.start > 1:
+            groups.setdefault(sl.stop - sl.start, []).append(range(sl.start, sl.stop))
+    return {s: np.array(rs) for s, rs in groups.items()}
+
+
+def _blocks(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns cols (K, s) of v as a C-contiguous (K, dim, s) stack: numpy
+    computes each matrix of the stack as it would the basic slice v[:, sl]."""
+    return np.ascontiguousarray(v[:, cols.ravel()].reshape(v.shape[0], *cols.shape).swapaxes(0, 1))
+
+
+def _put_blocks(v: np.ndarray, cols: np.ndarray, blocks: np.ndarray):
+    v[:, cols.ravel()] = blocks.swapaxes(0, 1).reshape(v.shape[0], cols.size)
 
 
 def _inverse_sweeps(dsym, c, mu, v, clusters):
     """Inverse iteration at the shifts mu (descending) for all columns of v at
-    once, re-orthonormalized within every cluster after each sweep. Solves
-    shrink as 1/|mu|: one below 1/2 is scaled up by an exact power of two so
-    that its norm does not underflow. A column whose solve does not stay
-    finite (near the top of the float range) keeps its previous vector."""
+    once, re-orthonormalized within every cluster after each sweep. Each
+    shifted system is factored once for all sweeps, and the clusters of one
+    size share one QR call per sweep. Solves shrink as 1/|mu|: one below 1/2
+    is scaled up by an exact power of two so that its norm does not
+    underflow. A column whose solve does not stay finite (near the top of the
+    float range) keeps its previous vector."""
+    groups = _by_size(clusters)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu = _factor_shifted(dsym[:, None] - mu[None, :], c)
     for _ in range(_SWEEPS):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
+            w = _solve_factored(lu, v)
             w = np.ldexp(w, np.maximum(-np.frexp(np.max(np.abs(w), axis=0))[1], 0))
         norm = np.linalg.norm(w, axis=0)
         ok = np.isfinite(norm) & (norm > 0)
         w = np.where(ok, w / np.where(ok, norm, 1.0), v)
-        for sl in clusters:
-            if sl.stop - sl.start > 1:
-                w[:, sl] = np.linalg.qr(w[:, sl])[0]
+        for cols in groups.values():
+            _put_blocks(w, cols, np.linalg.qr(_blocks(w, cols))[0])
         v = w
     return v
 
@@ -567,26 +607,35 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
     """Rotate the orthonormal columns v of the symmetrized matrix within every
     near-degenerate cluster to diagonalize the bilinear Gram form of the
     coefficient vectors v / d, and order each cluster's members by descending
-    compensated quotient (d v) . M (v / d) / ((d v) . (v / d))."""
-    clusters = [sl for sl in clusters if sl.stop - sl.start > 1]
-    if not clusters:
+    compensated quotient (d v) . M (v / d) / ((d v) . (v / d)). The clusters
+    of one size share one Gram product, one eigh and one back-rotation."""
+    groups = _by_size(clusters)
+    if not groups:
         return v
     v = v.copy()
     weight = bilinear_weight_kernel(m.xi_frequencies, m.a)
-    for sl in clusters:
+    blocks, grams = {}, {}
+    for s, cols in groups.items():
+        blocks[s] = _blocks(v, cols)
         with np.errstate(over="ignore", invalid="ignore"):
-            u = v[:, sl] / d[:, None]
-            gram = u.T @ weight @ u
-        if not np.all(np.isfinite(gram)):
-            raise NumericalFailureError(
-                f"cluster rotation for labels k={sl.start + 1}..{sl.stop}: Gram form not "
-                f"finite (smallest scale factor {float(np.min(d))!r})")
-        v[:, sl] = v[:, sl] @ np.linalg.eigh(gram)[1]
-    cols = np.concatenate([np.arange(sl.start, sl.stop) for sl in clusters])
+            u = blocks[s] / d[:, None]
+            grams[s] = u.swapaxes(1, 2) @ weight @ u
+    # the lowest cluster whose form is not finite, as a cluster-by-cluster pass would find it
+    bad = [(int(cols[j, 0]), s) for s, cols in groups.items()
+           for j in np.flatnonzero(~np.isfinite(grams[s]).all(axis=(1, 2)))]
+    if bad:
+        k, s = min(bad)
+        raise NumericalFailureError(
+            f"cluster rotation for labels k={k + 1}..{k + s}: Gram form not "
+            f"finite (smallest scale factor {float(np.min(d))!r})")
+    for s, cols in groups.items():
+        _put_blocks(v, cols, blocks[s] @ np.linalg.eigh(grams[s])[1])
+    cols = np.concatenate([cols.ravel() for cols in groups.values()])
     qh, ql = np.empty(v.shape[1]), np.empty(v.shape[1])
     qh[cols], ql[cols] = _rayleigh_dd(m, v[:, cols] / d[:, None], v[:, cols] * d[:, None])
-    for sl in clusters:
-        v[:, sl] = v[:, sl][:, np.lexsort((-ql[sl], -qh[sl]))]
+    for cols in groups.values():
+        order = np.lexsort((-ql[cols], -qh[cols]))
+        v[:, cols.ravel()] = v[:, np.take_along_axis(cols, order, axis=1).ravel()]
     return v
 
 
@@ -595,6 +644,12 @@ def eigen_decompose(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> SpectralS
     _, vals, lo, vecs, _ = _solve(m, tier)
     return SpectralSolution(m.parity, m.n, m.a, vals, vecs, tier,
                             lo if tier is Tier.EXTENDED else None)
+
+
+def eigenvalues(m: TridiagonalMatrix, tier: Tier = Tier.DOUBLE) -> np.ndarray:
+    """All eigenvalues, descending: those of eigen_decompose(m, tier), bit for
+    bit, without the vector stage."""
+    return _values(m, tier)[0]
 
 
 def nearest_eigenpair(m: TridiagonalMatrix, eta: float, tier: Tier = Tier.DOUBLE) -> Eigenpair:
@@ -620,28 +675,24 @@ def _window(vals_desc: np.ndarray, eta: float) -> slice:
     return slice(wide[max(j - 1, 0)].start, wide[min(j + 1, len(wide) - 1)].stop)
 
 
-def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
-    """The stages of eigen_decompose on a window of labels: all of them, or
-    the _window around eta. Returns (start, vals, lo, vecs, i): the window's
-    first label (0-based), its descending eigenvalues with their
-    double-double corrections (zero at the double tier), its coefficient
-    vectors as rows, and the row nearest eta (None without eta). The
-    residuals are checked on every row, or on the cluster of row i.
+def _values(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
+    """The value half of _solve: the LAPACK values, with the window's labels
+    (all, or the _window around eta) refined in double-double at the extended
+    tier. Returns (vals, lo, win, scale, v, c): the window's descending
+    eigenvalues and their double-double corrections (zero at the double
+    tier), the window, max|eta| over the final values, the window's starting
+    vectors as columns and the symmetrized off-diagonals; c is None where the
+    diagonal holds the eigenvalues (a = 0 or dimension 1), and v is then the
+    permutation that sorts it.
 
     At the extended tier labels 1 and dim are refined with the window: their
-    values set max|eta|, the scale of the clusters. Every stage treats each
-    label, or each cluster, on its own, so a row does not depend on the rest
-    of the window, bit for bit; the window holds whole clusters and, for
-    dim > 1, at least two labels, as numpy sums a one-column block in another
-    order."""
+    values set max|eta|, the scale of the clusters."""
     dim = m.dim
-    if m.a == 0 or dim == 1:  # the diagonal holds the eigenvalues
+    if m.a == 0 or dim == 1:
         order = np.argsort(-m.diag, kind="stable")
         vals = m.diag[order].astype(float)
-        vecs = _rotate_clusters(m, _cluster_slices(vals), np.eye(dim)[:, order], np.ones(dim))
-        i = None if eta is None else int(np.argmin(np.abs(vals - eta)))
-        return 0, vals, np.zeros(dim), _fix_signs(vecs.T), i
-
+        return (vals, np.zeros(dim), slice(0, dim), float(np.max(np.abs(vals))),
+                np.eye(dim)[:, order], None)
     diag, c, _, e = problem = _scaled_problem(m)
     asc, v = _lapack_eigh(diag, c)
     vals, lo = np.ldexp(asc[::-1], e), np.zeros(dim)
@@ -652,11 +703,30 @@ def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
         eh, el = _eigenvalues_dd(problem, asc, dim - 1 - final[::-1])
         hi = eh + el  # best float64 rounding of the compensated value
         vals[final], lo[final] = np.ldexp(hi[::-1], e), np.ldexp(((eh - hi) + el)[::-1], e)
-    clusters = _cluster_slices(vals[win], float(np.max(np.abs(vals[final]))))
-    vals, lo = vals[win], lo[win]
-    dscale = _similarity_scale(m)
+    return (vals[win], lo[win], win, float(np.max(np.abs(vals[final]))), v[:, ::-1][:, win],
+            np.ldexp(c, e))
 
-    v = _inverse_sweeps(m.diag.astype(float), np.ldexp(c, e), vals, v[:, ::-1][:, win], clusters)
+
+def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
+    """The stages of eigen_decompose on a window of labels: all of them, or
+    the _window around eta (_values). Returns (start, vals, lo, vecs, i): the
+    window's first label (0-based), its descending eigenvalues with their
+    double-double corrections (zero at the double tier), its coefficient
+    vectors as rows, and the row nearest eta (None without eta). The
+    residuals are checked on every row, or on the cluster of row i.
+
+    Every stage treats each label, or each cluster, on its own, so a row
+    does not depend on the rest of the window, bit for bit; the window holds
+    whole clusters and, for dim > 1, at least two labels, as numpy sums a
+    one-column block in another order."""
+    vals, lo, win, scale, v, c = _values(m, tier, eta)
+    clusters = _cluster_slices(vals, scale)
+    i = None if eta is None else int(np.argmin(np.abs(vals - eta)))
+    if c is None:  # the diagonal holds the eigenvalues
+        return 0, vals, lo, _fix_signs(_rotate_clusters(m, clusters, v, np.ones(m.dim)).T), i
+
+    dscale = _similarity_scale(m)
+    v = _inverse_sweeps(m.diag.astype(float), c, vals, v, clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
     with np.errstate(over="ignore", invalid="ignore"):
         vecs = (v / dscale[:, None]).T
@@ -666,10 +736,7 @@ def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
         raise NumericalFailureError(f"back-transform of label k={k} overflows "
                                     f"(smallest scale factor {float(np.min(dscale))!r})")
     vecs = _fix_signs(vecs / norm[:, None])
-    i, rows = None, slice(0, vals.size)
-    if eta is not None:
-        i = int(np.argmin(np.abs(vals - eta)))
-        rows = next(sl for sl in clusters if sl.stop > i)
+    rows = slice(0, vals.size) if i is None else next(sl for sl in clusters if sl.stop > i)
     _check_residuals(m, vals[rows], vecs[rows], win.start + rows.start)
     return win.start, vals, lo, vecs, i
 

@@ -127,6 +127,23 @@ def test_wavefunction_eta_selector_failure(tmp_path, capsys):
     assert "nearest candidates" in err
 
 
+@pytest.mark.parametrize("n,a,eta,listed", [
+    # the full vector stage raises at this n and a ("residual out of
+    # tolerance for label k=4"); the candidate list needs only the values
+    (40, "100", "1e6", None),
+    (15, "12", "1000", "935.99999999999966, 822.70456044451794, 822.70456044451623"),
+])
+def test_wavefunction_eta_tol_failure_lists_candidates(tmp_path, capsys, n, a, eta, listed):
+    assert run(tmp_path, "wavefunction", "--parity", "even", "--n", str(n), "--a", a,
+               "--eta", eta, "--eta-tol", "1", "--out", str(tmp_path / "w.csv")) == 2
+    err = capsys.readouterr().err
+    candidates = err.strip().split("nearest candidates: ")[1].split(", ")
+    assert len(candidates) == 3 and all(math.isfinite(float(c)) for c in candidates)
+    if listed is not None:
+        assert ", ".join(candidates) == listed
+    assert not (tmp_path / "w.csv").exists()
+
+
 @pytest.mark.parametrize("parity,n,points", [
     ("odd", 0, 2**18 + 1),  # over the bound on points
     ("even", 15, 2**22 // 30 + 1),  # over the bound on points x dim

@@ -20,7 +20,7 @@ from incewave.eigensolver import (Tier, char_poly_eval, char_poly_scaled, eigen_
                                   eigenvector_for, nearest_eigenpair, refine_eigenvalue,
                                   refine_eigenvalue_dd, sturm_count, symmetrize)
 from incewave.errors import InvalidArgumentError, InvalidBracketError, NumericalFailureError
-from incewave.ince_matrix import build_even_matrix, build_odd_matrix
+from incewave.ince_matrix import TridiagonalMatrix, build_even_matrix, build_odd_matrix
 
 # 60-digit reference values, even family n=15, a=12, descending order
 ANCHORS_N15_A12 = {
@@ -525,6 +525,212 @@ def test_inverse_sweep_normalizes_solves_at_extreme_a(monkeypatch, a):
     np.testing.assert_allclose(np.linalg.norm(out, axis=0), 1.0, rtol=0, atol=4 * np.finfo(float).eps)
     np.testing.assert_allclose(out / np.max(np.abs(out), axis=0), w / np.max(np.abs(w), axis=0),
                                rtol=0, atol=4 * np.finfo(float).eps)
+
+
+# References for the vector stage, which must match it bit for bit: the
+# solve that eliminates afresh for every right-hand side, and the QR, Gram
+# form, eigh and ordering of one cluster at a time.
+
+
+def _solve_shifted_reference(dshift, e, rhs):
+    """Solve T x = rhs for tridiagonal T(diag dshift, offdiag e) by Gaussian
+    elimination with partial pivoting; tiny pivots are replaced (the standard
+    inverse-iteration treatment of a numerically singular shift). dshift and
+    rhs may carry a trailing axis of k shifts, solved as k independent
+    systems that share e."""
+    _EPS = es._EPS
+    shape = np.shape(dshift)
+    n = shape[0]
+    dm = np.array(dshift, dtype=float).reshape(n, -1)
+    x = np.array(rhs, dtype=float).reshape(dm.shape)
+    du = np.repeat(np.reshape(e, (-1, 1)).astype(float), dm.shape[1], axis=1)
+    du2 = np.zeros_like(du)
+    tiny = _EPS * (np.max(np.abs(dm), axis=0) + 2 * (np.max(np.abs(e)) if e.size else 0.0) + 1.0)
+    for i in range(n - 1):
+        piv = np.abs(dm[i]) < abs(e[i])
+        dmi = np.where(piv, e[i], np.where(dm[i] == 0.0, tiny, dm[i]))
+        fact = np.where(piv, dm[i], e[i]) / dmi
+        nxt = dm[i + 1].copy()
+        dm[i] = dmi
+        dm[i + 1] = np.where(piv, du[i] - fact * nxt, nxt - fact * du[i])
+        if i < n - 2:
+            du2[i] = np.where(piv, du[i + 1], 0.0)
+            du[i + 1] = np.where(piv, -fact * du[i + 1], du[i + 1])
+        du[i] = np.where(piv, nxt, du[i])
+        xi = x[i].copy()
+        x[i] = np.where(piv, x[i + 1], xi)
+        x[i + 1] = np.where(piv, xi - fact * x[i + 1], x[i + 1] - fact * xi)
+    for i in range(n - 1, -1, -1):
+        acc = x[i]
+        if i + 1 < n:
+            acc = acc - du[i] * x[i + 1]
+        if i + 2 < n:
+            acc = acc - du2[i] * x[i + 2]
+        x[i] = acc / np.where(dm[i] != 0, dm[i], tiny)
+    return x.reshape(shape)
+
+
+def _inverse_sweeps_reference(dsym, c, mu, v, clusters):
+    """Inverse iteration at the shifts mu (descending) for all columns of v at
+    once, re-orthonormalized within every cluster after each sweep. Solves
+    shrink as 1/|mu|: one below 1/2 is scaled up by an exact power of two so
+    that its norm does not underflow. A column whose solve does not stay
+    finite (near the top of the float range) keeps its previous vector."""
+    _SWEEPS, _solve_shifted = es._SWEEPS, _solve_shifted_reference
+    for _ in range(_SWEEPS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _solve_shifted(dsym[:, None] - mu[None, :], c, v)
+            w = np.ldexp(w, np.maximum(-np.frexp(np.max(np.abs(w), axis=0))[1], 0))
+        norm = np.linalg.norm(w, axis=0)
+        ok = np.isfinite(norm) & (norm > 0)
+        w = np.where(ok, w / np.where(ok, norm, 1.0), v)
+        for sl in clusters:
+            if sl.stop - sl.start > 1:
+                w[:, sl] = np.linalg.qr(w[:, sl])[0]
+        v = w
+    return v
+
+
+def _rotate_clusters_reference(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
+                               d: np.ndarray) -> np.ndarray:
+    """Rotate the orthonormal columns v of the symmetrized matrix within every
+    near-degenerate cluster to diagonalize the bilinear Gram form of the
+    coefficient vectors v / d, and order each cluster's members by descending
+    compensated quotient (d v) . M (v / d) / ((d v) . (v / d))."""
+    bilinear_weight_kernel, _rayleigh_dd = es.bilinear_weight_kernel, es._rayleigh_dd
+    clusters = [sl for sl in clusters if sl.stop - sl.start > 1]
+    if not clusters:
+        return v
+    v = v.copy()
+    weight = bilinear_weight_kernel(m.xi_frequencies, m.a)
+    for sl in clusters:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = v[:, sl] / d[:, None]
+            gram = u.T @ weight @ u
+        if not np.all(np.isfinite(gram)):
+            raise NumericalFailureError(
+                f"cluster rotation for labels k={sl.start + 1}..{sl.stop}: Gram form not "
+                f"finite (smallest scale factor {float(np.min(d))!r})")
+        v[:, sl] = v[:, sl] @ np.linalg.eigh(gram)[1]
+    cols = np.concatenate([np.arange(sl.start, sl.stop) for sl in clusters])
+    qh, ql = np.empty(v.shape[1]), np.empty(v.shape[1])
+    qh[cols], ql[cols] = _rayleigh_dd(m, v[:, cols] / d[:, None], v[:, cols] * d[:, None])
+    for sl in clusters:
+        v[:, sl] = v[:, sl][:, np.lexsort((-ql[sl], -qh[sl]))]
+    return v
+
+
+
+def _vector_stage(stage, reference, args):
+    """Bytes of the outputs of a stage and its reference, or their errors, on
+    args. Above a = 2e10 the Bessel table refuses the Gram form's weight
+    (InvalidArgumentError)."""
+    out = []
+    for fn in (stage, reference):
+        try:
+            with np.errstate(all="ignore"):
+                out.append(fn(*args).tobytes())
+        except (NumericalFailureError, InvalidArgumentError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _random_partition(dim, rng):
+    """Consecutive clusters of random sizes 1-5 covering dim labels."""
+    bounds = np.minimum(np.cumsum(rng.integers(1, 6, size=dim)), dim)
+    bounds = [0, *np.unique(bounds).tolist()]
+    return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
+
+
+@given(parity=st.sampled_from(["even", "odd"]), n=st.integers(1, 80),
+       log_a=st.floats(-12.0, 300.0), rotation_log_a=st.floats(-12.0, 10.0),
+       tier=st.sampled_from(list(Tier)), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_vector_stage_matches_reference(parity, n, log_a, rotation_log_a, tier, seed):
+    # the shifts of either tier, the LAPACK starting vectors, and random
+    # clusters (stacks of one and of several matrices per size); a second a
+    # below 1e10 reaches the rotation, which raises above 2e10
+    builder = build_even_matrix if parity == "even" else build_odd_matrix
+    clusters = None
+    for a in (10.0**log_a, 10.0**rotation_log_a):
+        m = builder(n, a)
+        mu, _, _, _, v, c = es._values(m, tier)
+        clusters = clusters or _random_partition(m.dim, np.random.default_rng(seed))
+        got, ref = _vector_stage(es._inverse_sweeps, _inverse_sweeps_reference,
+                                 (m.diag.astype(float), c, mu, v, clusters))
+        assert got == ref
+        got, ref = _vector_stage(es._rotate_clusters, _rotate_clusters_reference,
+                                 (m, clusters, v, es._similarity_scale(m)))
+        assert got == ref
+
+
+@pytest.mark.parametrize("dshift,e", [
+    ([0.0], []),  # dimension 1, a zero pivot
+    ([3.0], []),
+    ([1.0, 1.0], [1.0]),  # no exchange; the last pivot is exactly zero
+    ([0.5, -2.0], [1.5]),  # an exchange
+    ([0.0, 2.0, 3.0], [0.0, 1.0]),  # the first pivot is exactly zero
+    ([1.0, 1.0, 5.0, -1.0], [1.0, 2.0, 4.0]),
+])
+def test_pivoted_tridiagonal_solve_matches_reference_at_zero_pivots(dshift, e):
+    # a zero pivot of U is replaced by the tiny pivot: the solve stays
+    # finite and equals the reference in bytes, for one or two shifts
+    dshift, e = np.array(dshift), np.array(e)
+    rhs = np.linspace(1.0, 2.0, dshift.size)
+    x = es._solve_shifted(dshift, e, rhs)
+    assert np.all(np.isfinite(x))
+    assert x.tobytes() == _solve_shifted_reference(dshift, e, rhs).tobytes()
+    shifted = dshift[:, None] - np.array([0.0, 0.25])
+    rhs2 = np.stack([rhs, rhs[::-1]], axis=1)
+    assert (es._solve_shifted(shifted, e, rhs2).tobytes()
+            == _solve_shifted_reference(shifted, e, rhs2).tobytes())
+
+
+@pytest.mark.parametrize("builder,n,a", [
+    (build_odd_matrix, 0, 2.0),  # dimension 1
+    (build_even_matrix, 1, 12.0),  # dimension 2
+    (build_even_matrix, 1, 1e-9),  # dimension 2, one cluster of two
+    (build_odd_matrix, 1, 1e-9),  # dimension 3, one pair and a singleton
+])
+@pytest.mark.parametrize("tier", list(Tier))
+def test_vector_stage_matches_reference_at_small_dimensions(builder, n, a, tier):
+    m = builder(n, a)
+    d = es._similarity_scale(m)
+    c = symmetrize(m)[0]
+    mu = es.eigenvalues(m, tier)
+    v = np.eye(m.dim)[:, ::-1].copy()
+    for clusters in ([slice(0, m.dim)], [slice(i, i + 1) for i in range(m.dim)]):
+        args = (m.diag.astype(float), c, mu, v, clusters)
+        got, ref = _vector_stage(es._inverse_sweeps, _inverse_sweeps_reference, args)
+        assert got == ref
+        got, ref = _vector_stage(es._rotate_clusters, _rotate_clusters_reference,
+                                 (m, clusters, v, d))
+        assert got == ref
+
+
+def test_stacked_qr_and_eigh_of_one_matrix_match_single_calls():
+    # a size with one cluster is a stack of one matrix
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(7, 5))
+    cols = np.array([[1, 2, 3]])
+    blocks = es._blocks(w, cols)
+    assert blocks.shape == (1, 7, 3) and blocks.flags.c_contiguous
+    assert np.linalg.qr(blocks)[0][0].tobytes() == np.linalg.qr(w[:, 1:4])[0].tobytes()
+    g = blocks[0].T @ blocks[0]
+    assert np.linalg.eigh(g[None])[1][0].tobytes() == np.linalg.eigh(g)[1].tobytes()
+    out = w.copy()
+    es._put_blocks(out, cols, blocks[:, :, ::-1])
+    assert np.array_equal(out[:, [0, 4]], w[:, [0, 4]])
+    assert np.array_equal(out[:, 1:4], w[:, 3:0:-1])
+
+
+def test_lowest_failing_cluster_is_named():
+    # even n=600, a=12: the Gram forms of many clusters are not finite; the
+    # message names the lowest, as a cluster-by-cluster pass does
+    with pytest.raises(NumericalFailureError) as exc:
+        eigen_decompose(build_even_matrix(600, 12.0))
+    assert str(exc.value) == ("cluster rotation for labels k=692..693: Gram form not finite "
+                              "(smallest scale factor 2.2458881269338526e-180)")
 
 
 @given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 2.0))
