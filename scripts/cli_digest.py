@@ -38,6 +38,8 @@ OTHERS = [
     "scan --parity odd --n-min 0 --n-max 12 --a 0.5 12 --tier extended --format json",
     "scan --parity odd --n-min 0 --n-max 12 --a 0.5 12 --format csv",
     "verify --parity odd --n 3 --a 1",
+    *(f"wavefunction --parity odd --n 15 --a 0.5 --eta 100 --eta-tol 1e9 --tier extended"
+      f" --points 64 --format {fmt} --strengths-out strengths.{fmt}" for fmt in ("csv", "json")),
 ]
 # wavefunction picks one label: a singleton, both members of the 718.09 pair,
 # the largest dimensions, the top of the a range, an eta midway between two

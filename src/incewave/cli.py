@@ -123,18 +123,14 @@ def _manifest(command: str, parameters: dict, tier: str | None,
     }
 
 
-def _emit(args, command: str, parameters: dict, tier: str | None,
+def _emit(out: str | None, fmt: str, command: str, parameters: dict, tier: str | None,
           data: dict, csv_header=None, csv_rows=None, started: float = 0.0):
-    fmt = getattr(args, "format", "json")
-    out = args.out
     paths = [out] if out else []
     wall = time.monotonic() - started
     if fmt == "json":
         doc = {"manifest": _manifest(command, parameters, tier, paths, wall), "data": data}
         _write_text(out, render_json(doc) + "\n")
     else:
-        if csv_header is None:
-            raise InvalidArgumentError(f"{command} has no CSV form; use --format json")
         _write_text(out, _csv_lines(csv_header, csv_rows))
         if out is not None:
             mpath = out + ".manifest.json"
@@ -165,16 +161,16 @@ def cmd_spectrum(args) -> int:
                 for k, (eta, vec) in enumerate(zip(sol.eigenvalues.tolist(),
                                                    sol.eigenvectors.tolist()), start=1)
                 for r, c in zip(rs, vec)]
-    return _emit(args, "spectrum", params, args.tier, data,
+    return _emit(args.out, args.format, "spectrum", params, args.tier, data,
                  ["k", "eta", "r", "coeff"], rows, started)
 
 
 def cmd_wavefunction(args) -> int:
     started = time.monotonic()
     m = build_matrix(Parity(args.parity), args.n, args.a)
-    if args.points > MAX_POINTS or args.points * m.dim > MAX_PHASES:
+    if not 0 <= args.points <= MAX_POINTS or args.points * m.dim > MAX_PHASES:
         raise InvalidArgumentError(
-            f"--points {args.points} at dimension {m.dim}: at most {MAX_POINTS} points and "
+            f"--points {args.points} at dimension {m.dim}: from 0 to {MAX_POINTS} points and "
             f"{MAX_PHASES} points x dimension")
     pair = nearest_eigenpair(m, args.eta, Tier(args.tier))
     k = pair.k
@@ -205,22 +201,14 @@ def cmd_wavefunction(args) -> int:
             "columns": ["xi", "re", "im", "abs"],
             "rows": [list(r) for r in rows],
         }
-    code = _emit(args, "wavefunction", params, args.tier, data,
-                 ["xi", "re", "im", "abs"], rows, started)
+    _emit(args.out, args.format, "wavefunction", params, args.tier, data,
+          ["xi", "re", "im", "abs"], rows, started)
     if args.strengths_out:
         strengths = harmonic_strengths(p)
-        if args.format == "json":
-            sdoc = {
-                "manifest": _manifest("wavefunction-strengths", params, args.tier,
-                                      [args.strengths_out], time.monotonic() - started),
-                "data": {"eta": float(p.eta), "k": k,
-                         "strengths": [[r, s] for r, s in strengths]},
-            }
-            _write_text(args.strengths_out, render_json(sdoc) + "\n")
-        else:
-            _write_text(args.strengths_out,
-                        _csv_lines(["r", "strength"], strengths))
-    return code
+        _emit(args.strengths_out, args.format, "wavefunction-strengths", params, args.tier,
+              {"eta": float(p.eta), "k": k, "strengths": [[r, s] for r, s in strengths]},
+              ["r", "strength"], strengths, started)
+    return 0
 
 
 def cmd_physics(args) -> int:
@@ -259,13 +247,13 @@ def cmd_physics(args) -> int:
             "a": pct(cfg.a, cfg.a_handbook),
         },
     }
-    return _emit(args, "physics", params, None, data, started=started)
+    return _emit(args.out, "json", "physics", params, None, data, started=started)
 
 
 def cmd_scan(args) -> int:
     started = time.monotonic()
     ns = list(range(args.n_min, args.n_max + 1))
-    if not ns or not args.a:
+    if not ns:
         sys.stderr.write("empty scan grid\n")
         return 2
     parity = Parity(args.parity)
@@ -286,7 +274,7 @@ def cmd_scan(args) -> int:
         "columns": ["n", "a", "k", "eta", "gap", "p_xi_scaled"],
         "rows": [list(r) for r in rows],
     }
-    return _emit(args, "scan", params, args.tier, data,
+    return _emit(args.out, args.format, "scan", params, args.tier, data,
                  ["n", "a", "k", "eta", "gap", "p_xi_scaled"], rows, started)
 
 
@@ -296,7 +284,7 @@ def cmd_verify(args) -> int:
                                  Tier(args.tier),
                                  corrupt_eta_label=args.corrupt_eta)
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier}
-    _emit(args, "verify", params, args.tier, report, started=started)
+    _emit(args.out, "json", "verify", params, args.tier, report, started=started)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         sys.stderr.write("verification failed: " + ", ".join(failing) + "\n")
@@ -334,17 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seedless", action="store_true",
                        help="reserved; no randomness is used anywhere")
 
+    def problem(p):
+        p.add_argument("--parity", choices=["even", "odd"], required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--a", type=finite_float, required=True)
+
     p = sub.add_parser("spectrum", help="eigenvalues and coefficient vectors")
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=finite_float, required=True)
+    problem(p)
     common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="trace of one polynomial over a phase window")
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=finite_float, required=True)
+    problem(p)
     p.add_argument("--eta", type=finite_float, required=True,
                    help="select the eigenvalue nearest this value")
     p.add_argument("--eta-tol", type=finite_float, default=0.5)
@@ -364,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-cm3", type=finite_float, default=None)
     p.add_argument("--intensity-wcm2", type=finite_float, default=0.0)
     common(p, tier=False, fmt=False)
-    p.set_defaults(func=cmd_physics, format="json")
+    p.set_defaults(func=cmd_physics)
 
     p = sub.add_parser("scan", help="eigenvalue/momentum table over an (n, a) grid")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
@@ -377,12 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="invariant suite for one configuration")
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=finite_float, required=True)
+    problem(p)
     p.add_argument("--corrupt-eta", type=int, default=None, help=argparse.SUPPRESS)
     common(p, fmt=False)
-    p.set_defaults(func=cmd_verify, format="json")
+    p.set_defaults(func=cmd_verify)
 
     return ap
 
@@ -391,9 +378,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidArgumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -505,12 +505,6 @@ def _solve_factored(lu, rhs):
     return x
 
 
-def _solve_shifted(dshift, e, rhs):
-    """Solve T x = rhs for tridiagonal T(diag dshift, offdiag e), factored by
-    _factor_shifted; dshift and rhs may carry a trailing axis of k shifts."""
-    return _solve_factored(_factor_shifted(dshift, e), rhs).reshape(np.shape(dshift))
-
-
 def _by_size(clusters: list[slice]) -> dict[int, np.ndarray]:
     """The clusters of two or more labels grouped by size: for each size s,
     the (K, s) column indices of its K clusters in ascending order."""

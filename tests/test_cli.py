@@ -27,6 +27,15 @@ def validate(doc, schema_name):
     jsonschema.validate(doc, schema)
 
 
+def validate_sidecar(out, command):
+    # a CSV output written to a path has its manifest beside it
+    sidecar = str(out) + ".manifest.json"
+    manifest = json.loads(Path(sidecar).read_text())
+    validate(manifest, "manifest.schema.json")
+    assert manifest["output_paths"] == [str(out), sidecar]
+    assert manifest["command"] == command
+
+
 def test_spectrum_json_schema(tmp_path):
     out = tmp_path / "spec.json"
     assert run(tmp_path, "spectrum", "--parity", "even", "--n", "1", "--a", "12",
@@ -66,6 +75,7 @@ def test_spectrum_csv_layout(tmp_path):
     assert "\r" not in text
     manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
+    validate_sidecar(out, "spectrum")
 
 
 def test_spectrum_determinism(tmp_path):
@@ -106,17 +116,25 @@ def test_wavefunction_csv(tmp_path):
     assert len(lines) == 65
     for row in lines[1:]:
         assert float(row.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+    validate_sidecar(out, "wavefunction")
 
 
 def test_wavefunction_json_schema_and_prefactor(tmp_path):
     out = tmp_path / "w.json"
+    sout = tmp_path / "s.json"
     assert run(tmp_path, "wavefunction", "--parity", "even", "--n", "15", "--a", "12",
                "--eta", "718.09", "--tier", "extended", "--with-prefactor",
-               "--points", "128", "--format", "json", "--out", str(out)) == 0
+               "--points", "128", "--format", "json", "--out", str(out),
+               "--strengths-out", str(sout)) == 0
     doc = json.loads(out.read_text())
     validate(doc, "wavefunction.schema.json")
     assert doc["data"]["k"] == 5
     assert doc["data"]["eta"] == pytest.approx(718.092858484742, abs=1e-9)
+    sdoc = json.loads(sout.read_text())
+    validate(sdoc, "strengths.schema.json")
+    assert sdoc["manifest"]["command"] == "wavefunction-strengths"
+    assert sdoc["manifest"]["output_paths"] == [str(sout)]
+    assert sdoc["data"]["k"] == 5
 
 
 def test_wavefunction_eta_selector_failure(tmp_path, capsys):
@@ -148,6 +166,7 @@ def test_wavefunction_eta_tol_failure_lists_candidates(tmp_path, capsys, n, a, e
     ("odd", 0, 2**18 + 1),  # over the bound on points
     ("even", 15, 2**22 // 30 + 1),  # over the bound on points x dim
     ("odd", 15, 100_000_000),  # a 48 GB phase matrix
+    ("odd", 0, -5),  # a negative count
 ])
 def test_wavefunction_points_bounded(tmp_path, capsys, parity, n, points):
     # refused, exit 2, before the solve and the trace; only refused values run
@@ -215,6 +234,8 @@ def test_wavefunction_strengths_sum(tmp_path):
     assert lines[0] == "r,strength"
     total = sum(float(row.split(",")[1]) for row in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-12)
+    validate_sidecar(out, "wavefunction")
+    validate_sidecar(sout, "wavefunction-strengths")
 
 
 def test_physics_report(tmp_path):
@@ -277,6 +298,7 @@ def test_scan_trivial_rows_and_count(tmp_path):
     n0 = [row for row in lines[1:] if row.startswith("0,")]
     for row in n0:
         assert float(row.split(",")[3]) == pytest.approx(1.0, abs=1e-13)
+    validate_sidecar(out, "scan")
 
 
 def test_scan_empty_grid_exit2(tmp_path):

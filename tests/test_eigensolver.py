@@ -482,7 +482,7 @@ def test_random_configs_match_lapack(parity, n, a):
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
-    from incewave.eigensolver import _solve_shifted
+    from incewave.eigensolver import _factor_shifted, _solve_factored
 
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
@@ -493,7 +493,7 @@ def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
     dense[np.arange(1, n), np.arange(n - 1)] = e
     if abs(np.linalg.det(dense)) < 1e-8:
         return  # near-singular systems are the inverse-iteration regime
-    x = _solve_shifted(d, e, b)
+    x = _solve_factored(_factor_shifted(d, e), b)[:, 0]
     ref = np.linalg.solve(dense, b)
     np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
     # a trailing axis of k shifts solves k systems in one call, each exactly as
@@ -501,10 +501,11 @@ def test_pivoted_tridiagonal_solve_matches_dense(n, seed):
     k = int(rng.integers(1, 5))
     shifted = d[:, None] - rng.normal(size=k)[None, :]
     rhs = rng.normal(size=(n, k))
-    xs = _solve_shifted(shifted, e, rhs)
+    xs = _solve_factored(_factor_shifted(shifted, e), rhs)
     assert xs.shape == (n, k)
     for j in range(k):
-        np.testing.assert_array_equal(xs[:, j], _solve_shifted(shifted[:, j], e, rhs[:, j]))
+        np.testing.assert_array_equal(
+            xs[:, j], _solve_factored(_factor_shifted(shifted[:, j], e), rhs[:, j])[:, 0])
 
 
 @pytest.mark.parametrize("a", [1e200, 1e300])
@@ -518,7 +519,7 @@ def test_inverse_sweep_normalizes_solves_at_extreme_a(monkeypatch, a):
     asc, v = es._lapack_eigh(diag, c)
     mu, v = np.ldexp(asc[::-1], e), v[:, ::-1]
     dsym, csym = m.diag.astype(float), np.ldexp(c, e)
-    w = es._solve_shifted(dsym[:, None] - mu[None, :], csym, v)
+    w = es._solve_factored(es._factor_shifted(dsym[:, None] - mu[None, :], csym), v)
     assert not np.any(np.linalg.norm(w, axis=0))
     out = es._inverse_sweeps(dsym, csym, mu, v, es._cluster_slices(mu))
     assert not np.array_equal(out, v)
@@ -677,12 +678,12 @@ def test_pivoted_tridiagonal_solve_matches_reference_at_zero_pivots(dshift, e):
     # finite and equals the reference in bytes, for one or two shifts
     dshift, e = np.array(dshift), np.array(e)
     rhs = np.linspace(1.0, 2.0, dshift.size)
-    x = es._solve_shifted(dshift, e, rhs)
+    x = es._solve_factored(es._factor_shifted(dshift, e), rhs)
     assert np.all(np.isfinite(x))
     assert x.tobytes() == _solve_shifted_reference(dshift, e, rhs).tobytes()
     shifted = dshift[:, None] - np.array([0.0, 0.25])
     rhs2 = np.stack([rhs, rhs[::-1]], axis=1)
-    assert (es._solve_shifted(shifted, e, rhs2).tobytes()
+    assert (es._solve_factored(es._factor_shifted(shifted, e), rhs2).tobytes()
             == _solve_shifted_reference(shifted, e, rhs2).tobytes())
 
 
