@@ -72,6 +72,14 @@ SIZES = [
     )
 ] + ["wavefunction --parity even --n 40 --a 100 --eta 1e6 --eta-tol 1 --out wave.csv"]
 
+# the exact oracle at dims 2 to 7: both parities, n = 1..3, a from 0 (no
+# oracle) to the oracle_delta failures at a >= 1e5, which exit 1
+ORACLE = [
+    f"verify --parity {parity} --n {n} --a {a}"
+    for parity in ("even", "odd") for n in (1, 2, 3)
+    for a in ("0", "1e-12", "1e-3", "1", "1e5", "1e7")
+]
+
 
 def _digest(data: bytes) -> str:
     kept = [line for line in data.splitlines(keepends=True) if b'"wall_time_s":' not in line]
@@ -98,7 +106,7 @@ def run(command: str, scratch: str) -> list[str]:
 if __name__ == "__main__":
     home = os.getcwd()
     try:
-        for command in README + SPECTRA + OTHERS + WAVES + SIZES:
+        for command in README + SPECTRA + OTHERS + WAVES + SIZES + ORACLE:
             with tempfile.TemporaryDirectory() as scratch:
                 print("\n".join(run(command, scratch)))
     finally:

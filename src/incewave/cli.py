@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues and coefficient vectors")
     problem(p)
     common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="trace of one polynomial over a phase window")
     problem(p)
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strengths-out", default=None,
                    help="also write the harmonic strengths (r, D_r**2)")
     common(p)
-    p.set_defaults(func=cmd_wavefunction, format="csv")
+    p.set_defaults(format="csv")
 
     p = sub.add_parser("physics", help="laboratory-to-model parameter report")
     p.add_argument("--photon-ev", type=finite_float, required=True)
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-cm3", type=finite_float, default=None)
     p.add_argument("--intensity-wcm2", type=finite_float, default=0.0)
     common(p, tier=False, fmt=False)
-    p.set_defaults(func=cmd_physics)
 
     p = sub.add_parser("scan", help="eigenvalue/momentum table over an (n, a) grid")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
@@ -363,21 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pz", type=finite_float, default=0.0, help="2 p_z / k_p")
     p.add_argument("--K", type=finite_float, default=0.0, help="2 kappa / k_p")
     common(p)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="invariant suite for one configuration")
     problem(p)
     p.add_argument("--corrupt-eta", type=int, default=None, help=argparse.SUPPRESS)
     common(p, fmt=False)
-    p.set_defaults(func=cmd_verify)
 
     return ap
 
 
+# main's parser, built on its first call and reused by every later one. The
+# handler is looked up by name at each call, so a replaced cmd_* runs.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -3,9 +3,10 @@
 Two ingredients: the weighted bilinear inner product (quadrature and
 Bessel-closed-form routes, compared but never silently merged) and a
 characteristic-polynomial oracle that bisects on exact Sturm counts: the
-leading principal minors in Fraction arithmetic, exact for float entries
-(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386), with no scaling and
-nothing shared with the eigensolver's double-double recurrence.
+leading principal minors as Python integers over one power-of-two
+denominator 2**E, exact for float entries (Barth, Martin & Wilkinson, Numer.
+Math. 9 (1967) 386), with no other scaling and nothing shared with the
+eigensolver's double-double recurrence.
 
 The weighted pairing is bilinear, not conjugated: for same-branch solutions
 f_k, f_l of the governing equation, multiplying by w(xi) = exp(-(a/2) cos xi)
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -128,15 +128,38 @@ def gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
 # ----------------------------------------------------------------------
 
 
-def _exact_count(diag: list[Fraction], g: list[Fraction], x: float) -> int:
-    """Number of eigenvalues below x (one at x counts): sign changes of the
-    leading principal minors p_j = (d_j - x) p_{j-1} - g_{j-1} p_{j-2}, in
-    exact arithmetic. A zero minor takes the sign opposite to its
-    predecessor."""
-    x = Fraction(x)
+def _binary(x: float) -> tuple[int, int]:
+    """Integer numerator and exponent e >= 0 of a float: x == num / 2**e."""
+    num, den = float(x).as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _integer_bands(m: TridiagonalMatrix) -> tuple[list[int], list[int], int]:
+    """The diagonal times 2**e and the edge products super * sub times 4**e,
+    as exact integers, where 2**e is the finest binary denominator among the
+    entries."""
+    diag, sup, sub = ([_binary(v) for v in band] for band in (m.diag, m.super, m.sub))
+    e = max(ev for _, ev in diag + sup + sub)
+    return ([num << (e - ev) for num, ev in diag],
+            [(un << (e - ue)) * (ln << (e - le)) for (un, ue), (ln, le) in zip(sup, sub)], e)
+
+
+def _exact_count(diag: list[int], g: list[int], e: int, x: float) -> int:
+    """Number of eigenvalues below x (one at x counts) of the tridiagonal
+    matrix with diagonal diag / 2**e and edge products g / 4**e: sign changes
+    of the leading principal minors p_j = (d_j - x) p_{j-1} - g_{j-1} p_{j-2}.
+    Over the common denominator 2**E, E = max(e, exponent of x), the scaled
+    minors P_j = p_j 2**(jE) are exact integers with the same signs. A zero
+    minor takes the sign opposite to its predecessor."""
+    xnum, xe = _binary(x)
+    big = max(e, xe)
+    shift, xnum = big - e, xnum << (big - xe)
+    if shift:
+        diag = [d << shift for d in diag]
+        g = [gj << (2 * shift) for gj in g]
     p2, p1, count, sprev = 0, 1, 0, 1
     for d, gj in zip(diag, (0, *g)):
-        p2, p1 = p1, (d - x) * p1 - gj * p2
+        p2, p1 = p1, (d - xnum) * p1 - gj * p2
         s = (p1 > 0) - (p1 < 0) or -sprev
         count += s != sprev
         sprev = s
@@ -145,13 +168,14 @@ def _exact_count(diag: list[Fraction], g: list[Fraction], x: float) -> int:
 
 def oracle_eigenvalues(m: TridiagonalMatrix) -> list[float]:
     """All eigenvalues (descending) by bisection on exact Sturm counts,
-    independent of the solver: every entry is a float, so the minors are
-    exact in Fraction arithmetic and need no scaling. Each label is bisected
-    from the bound min/max diag -/+ (2 a dim + 1) until its bracket is a
-    quarter ulp of that bound or its midpoint rounds to an end. With every
-    coupling zero the diagonal is the spectrum. Dimensions above 8 are
-    refused for cost: a count is O(dim) Fraction operations on growing
-    numerators."""
+    independent of the solver: every entry is a float, so over one common
+    power-of-two denominator 2**E the minors are exact Python integers and
+    need no other scaling. Each label is bisected from the bound
+    min/max diag -/+ (2 a dim + 1) until its bracket is a quarter ulp of that
+    bound or its midpoint rounds to an end. With every coupling zero the
+    diagonal is the spectrum. Dimensions above 8 are refused for cost: a count
+    is O(dim) integer operations on numerators that grow by about E bits per
+    row."""
     if m.dim > 8:
         raise InvalidArgumentError("the characteristic-polynomial oracle is limited to dim <= 8")
     if m.a == 0 or m.dim == 1:
@@ -160,15 +184,14 @@ def oracle_eigenvalues(m: TridiagonalMatrix) -> list[float]:
     lo0, hi0 = float(np.min(m.diag)) - bound, float(np.max(m.diag)) + bound
     if not math.isfinite(hi0 - lo0):
         raise InvalidArgumentError(f"a={m.a} is too large for the oracle's float bound")
-    diag = [Fraction(float(d)) for d in m.diag]
-    g = [Fraction(float(u)) * Fraction(float(l)) for u, l in zip(m.super, m.sub)]
+    diag, g, e = _integer_bands(m)
     tol = math.ulp(hi0) / 4
     roots = []
     for i in range(m.dim):
         lo, hi = lo0, hi0
         mid = 0.5 * (lo + hi)
         while hi - lo > tol and lo < mid < hi:
-            if _exact_count(diag, g, mid) > i:
+            if _exact_count(diag, g, e, mid) > i:
                 hi = mid
             else:
                 lo = mid
@@ -217,19 +240,18 @@ def verification_report(parity: Parity, n: int, a: float,
 
     add("normalization", np.max(np.abs(np.sum(sol.eigenvectors**2, axis=1) - 1.0)))
 
-    # governing equation for all labels at once, per branch, relative to
-    # (|eta| + 2na) max|f|
+    # governing equation for all labels at once, relative to
+    # (|eta| + 2na) max|f|. The minus branch's lhs and f are the complex
+    # conjugates of the plus branch's, with the same moduli, so one phase
+    # matrix checks both branches.
     zs = np.arange(64) * (2.0 * np.pi / 64)
     etas = sol.eigenvalues.copy()
     if corrupt_eta_label is not None:
         etas[corrupt_eta_label - 1] += 1.0
-    ratios = []
-    for branch in (Branch.PLUS, Branch.MINUS):
-        lhs, f = governing_residual(sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T, etas,
-                                    zs, branch)
-        scale = (np.abs(etas) + 2.0 * sol.n * sol.a) * np.max(np.abs(f), axis=0)
-        ratios.append(np.max(np.abs(lhs), axis=0) / np.maximum(scale, 1e-300))
-    add("ode_residual", np.max(ratios))
+    lhs, f = governing_residual(sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T, etas,
+                                zs, Branch.PLUS)
+    scale = (np.abs(etas) + 2.0 * sol.n * sol.a) * np.max(np.abs(f), axis=0)
+    add("ode_residual", np.max(np.max(np.abs(lhs), axis=0) / np.maximum(scale, 1e-300)))
 
     gq, gb = scaled_gram_matrices(sol)
     # an identically zero form (odd n=0 at a=0, whose one entry is I_1(0)) is

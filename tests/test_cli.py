@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from importlib import resources
 
 import incewave
+from incewave import cli
 from incewave.cli import build_parser, finite_float, main
 
 
@@ -406,6 +408,49 @@ def test_verify_corruption_label_out_of_range_exit2(tmp_path, capsys, label):
     assert code == 2
     assert "outside 1..6" in capsys.readouterr().err
     assert not out.exists()
+
+
+_PHYSICS = ["physics", "--photon-ev", "1.563", "--plasma-ev", "1.0", "--intensity-wcm2", "1e8"]
+
+
+def _without_wall_time(path):
+    return [line for line in path.read_text().splitlines() if '"wall_time_s":' not in line]
+
+
+def test_parser_is_built_once_across_subcommands(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        assert main(["spectrum", "--parity", "even", "--n", "2", "--a", "1",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert main([*_PHYSICS, "--out", str(tmp_path / "p.json")]) == 0
+        assert main(["verify", "--parity", "odd", "--n", "1", "--a", "1",
+                     "--out", str(tmp_path / "v.json")]) == 0
+        assert main(["scan", "--parity", "odd", "--n-min", "0", "--n-max", "1", "--a", "1",
+                     "--out", str(tmp_path / "c.json")]) == 0
+    assert built.call_count == 1
+
+
+def test_valid_call_after_a_usage_error_gives_its_own_output(tmp_path, monkeypatch):
+    argv = ["verify", "--parity", "even", "--n", "2", "--a", "1"]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert main([*argv, "--out", str(tmp_path / "fresh.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--parity", "even", "--n", "2", "--a", "nan",
+              "--out", str(tmp_path / "bad.json")])
+    assert exc.value.code == 2
+    assert main([*argv, "--out", str(tmp_path / "again.json")]) == 0
+    assert not (tmp_path / "bad.json").exists()
+    fresh = _without_wall_time(tmp_path / "fresh.json")
+    again = _without_wall_time(tmp_path / "again.json")
+    assert again == [line.replace("fresh.json", "again.json") for line in fresh]
+
+
+def test_handler_replaced_after_the_first_call_runs(tmp_path, monkeypatch):
+    assert main([*_PHYSICS, "--out", str(tmp_path / "p.json")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_physics", lambda args: seen.append(args.photon_ev) or 7)
+    assert main(_PHYSICS) == 7
+    assert seen == [1.563]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,9 @@
 """Inner products, the characteristic-polynomial oracle, and the check suite."""
 
 import dataclasses
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +128,52 @@ def test_oracle_matches_60_digit_eigenvalues(builder, n, a):
     np.testing.assert_allclose(oracle_eigenvalues(m), ref, rtol=0, atol=tol)
 
 
+def _fraction_count(m, x):
+    """Reference Sturm count: the leading minors in Fraction arithmetic."""
+    x = Fraction(x)
+    g = [Fraction(float(u)) * Fraction(float(l)) for u, l in zip(m.super, m.sub)]
+    p2, p1, count, sprev = 0, 1, 0, 1
+    for d, gj in zip(m.diag, (0, *g)):
+        p2, p1 = p1, (Fraction(float(d)) - x) * p1 - gj * p2
+        s = (p1 > 0) - (p1 < 0) or -sprev
+        count += s != sprev
+        sprev = s
+    return count
+
+
+ORACLE_DIMS = ([(build_even_matrix, n) for n in (1, 2, 3, 4)]
+               + [(build_odd_matrix, n) for n in (0, 1, 2, 3)])
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-12, 1e-3, 0.5, 3.16, 12.0, 1e5, 1e7])
+@pytest.mark.parametrize("builder,n", ORACLE_DIMS)
+def test_integer_count_equals_fraction_count(builder, n, a):
+    m = builder(n, a)
+    diag, g, e = verify._integer_bands(m)
+    # random shifts inside the Gershgorin range
+    radii = np.abs(np.append(m.super, 0.0)) + np.abs(np.insert(m.sub, 0, 0.0))
+    lo, hi = float(np.min(m.diag - radii)), float(np.max(m.diag + radii))
+    rng = random.Random(f"{builder.__name__} {n} {a}")
+    shifts = [rng.uniform(lo, hi) for _ in range(40)]
+    # the diagonal entries themselves, where minors vanish exactly at a = 0;
+    # and shifts whose binary denominator is finer than every entry's
+    tiny = math.ldexp(1.0, -70)
+    fine = [tiny, -3 * tiny, math.ulp(0.0)] + [math.nextafter(d, math.inf) for d in m.diag]
+    shifts += [float(d) for d in m.diag] + fine
+    assert any(verify._binary(x)[1] > e for x in fine)
+    for x in shifts:
+        assert verify._exact_count(diag, g, e, x) == _fraction_count(m, x), x
+
+
+@pytest.mark.parametrize("builder,n,a", [(build_even_matrix, 4, 3.16), (build_odd_matrix, 3, 10.0),
+                                         (build_even_matrix, 3, 1e5), (build_odd_matrix, 1, 1e-12)])
+def test_oracle_equals_bisection_on_the_fraction_count(monkeypatch, builder, n, a):
+    m = builder(n, a)
+    got = oracle_eigenvalues(m)
+    monkeypatch.setattr(verify, "_exact_count", lambda diag, g, e, x: _fraction_count(m, x))
+    assert got == oracle_eigenvalues(m)
+
+
 def test_oracle_rejects_large_dimension():
     with pytest.raises(InvalidArgumentError):
         oracle_eigenvalues(build_even_matrix(15, 12.0))
@@ -201,6 +250,23 @@ def test_report_oracle_catches_a_moved_eigenvalue(monkeypatch):
     monkeypatch.setattr(verify, "eigen_decompose", moved)
     rep = verification_report(Parity.EVEN, 3, 1.0)
     assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["oracle_delta"]
+
+
+def test_minus_branch_residual_is_the_conjugate_of_the_plus_branch():
+    # verification_report evaluates the plus branch alone for both: the minus
+    # branch's lhs and f are its conjugates, equal up to the sign of zero
+    # parts, and their moduli are equal bit for bit
+    zs = np.arange(64) * (2.0 * np.pi / 64)
+    for builder in (build_even_matrix, build_odd_matrix):
+        for n in (1, 2, 5, 13, 30, 50):
+            for a in (1e-5, 1e-3, 0.1, 1.0, 10.0, 1e3):
+                sol = eigen_decompose(builder(n, a))
+                args = (sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T, sol.eigenvalues, zs)
+                plus = governing_residual(*args, Branch.PLUS)
+                minus = governing_residual(*args, Branch.MINUS)
+                for p, q in zip(plus, minus):
+                    np.testing.assert_array_equal(q, np.conj(p))
+                    assert np.abs(q).tobytes() == np.abs(p).tobytes()
 
 
 @pytest.mark.parametrize("label", [1, 6])
