@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .eigensolver import Tier, eigen_decompose, eigenvalues, nearest_eigenpair
 from .errors import InvalidArgumentError
-from .ince_matrix import Parity, build_matrix
+from .ince_matrix import Parity, build_matrix, checked_layout
 from .physics import derive_config, momentum_spectrum
 from .polynomials import evaluate, harmonic_strengths, polynomial_from_pair
 from .verify import verification_report
@@ -252,7 +252,7 @@ def cmd_physics(args) -> int:
 
 def cmd_scan(args) -> int:
     started = time.monotonic()
-    ns = list(range(args.n_min, args.n_max + 1))
+    ns = range(args.n_min, args.n_max + 1)
     if not ns:
         sys.stderr.write("empty scan grid\n")
         return 2
@@ -260,6 +260,7 @@ def cmd_scan(args) -> int:
     if parity is Parity.EVEN and args.n_min < 1:
         sys.stderr.write("even family needs n >= 1\n")
         return 2
+    checked_layout(parity, args.n_max)
     rows = []
     for n in ns:
         for a in args.a:
@@ -280,9 +281,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    report = verification_report(Parity(args.parity), args.n, args.a,
-                                 Tier(args.tier),
-                                 corrupt_eta_label=args.corrupt_eta)
+    report = verification_report(Parity(args.parity), args.n, args.a, Tier(args.tier))
     params = {"parity": args.parity, "n": args.n, "a": args.a, "tier": args.tier}
     _emit(args.out, "json", "verify", params, args.tier, report, started=started)
     if not report["passed"]:
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="invariant suite for one configuration")
     problem(p)
-    p.add_argument("--corrupt-eta", type=int, default=None, help=argparse.SUPPRESS)
     common(p, fmt=False)
 
     return ap

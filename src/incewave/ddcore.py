@@ -97,12 +97,3 @@ def dd_div(xh, xl, yh, yl):
 def dd_scale_pow2(xh, xl, f):
     """Multiply by f, an exact power of two (exact in both components)."""
     return xh * f, xl * f
-
-
-def dd_sign(xh, xl):
-    """Elementwise sign of hi + lo (0 only when exactly zero)."""
-    s = np.sign(xh)
-    z = s == 0
-    if np.any(z):
-        s = np.where(z, np.sign(xl), s)
-    return s

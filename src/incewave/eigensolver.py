@@ -611,7 +611,7 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
     blocks, grams = {}, {}
     for s, cols in groups.items():
         blocks[s] = _blocks(v, cols)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = blocks[s] / d[:, None]
             grams[s] = u.swapaxes(1, 2) @ weight @ u
     # the lowest cluster whose form is not finite, as a cluster-by-cluster pass would find it
@@ -722,7 +722,7 @@ def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
     dscale = _similarity_scale(m)
     v = _inverse_sweeps(m.diag.astype(float), c, vals, v, clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vecs = (v / dscale[:, None]).T
         norm = np.sqrt(np.sum(vecs**2, axis=1))
     if not np.all(np.isfinite(norm)):

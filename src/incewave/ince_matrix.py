@@ -131,10 +131,24 @@ def build_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
     return (build_even_matrix if parity is Parity.EVEN else build_odd_matrix)(n, a)
 
 
+# Largest dimension built; one double-tier solve at 4096 takes ~46 s and 1.3 GB.
+MAX_DIM = 4096
+
+
+def checked_layout(parity: Parity, n: int) -> HarmonicLayout:
+    """The layout of (parity, n), refused with InvalidArgumentError when its
+    dimension exceeds MAX_DIM."""
+    layout = HarmonicLayout(parity, int(n))
+    if layout.dim > MAX_DIM:
+        raise InvalidArgumentError(f"{parity.value} n={n} has dimension {layout.dim}, "
+                                   f"above the limit MAX_DIM = {MAX_DIM}")
+    return layout
+
+
 def _layout_matrix(parity: Parity, n: int, a: float) -> TridiagonalMatrix:
     """diag 4 f**2, super (p_x + f) a and sub (p_x - f) a over the layout."""
     a = _check_a(a)
-    layout = HarmonicLayout(parity, int(n))
+    layout = checked_layout(parity, n)
     f = layout.xi_frequencies
     with np.errstate(over="ignore"):
         sup, sub = (layout.p_x + f[:-1]) * a, (layout.p_x - f[:-1]) * a

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class SpinBasis:
 def _check_nm(n_m: float) -> float:
     n_m = float(n_m)
     if not 0.0 <= n_m < 1.0:
-        raise InvalidArgumentError(
+        raise InvalidConfigError(
             f"refractive index must satisfy 0 <= n_m < 1 (propagating regime), got {n_m}"
         )
     return n_m

@@ -1,7 +1,9 @@
 """Independent oracles and property checks.
 
 Two ingredients: the weighted bilinear inner product (quadrature and
-Bessel-closed-form routes, compared but never silently merged) and a
+Bessel-closed-form routes, compared but never silently merged; one helper
+computes both for a block of coefficient rows, the Gram matrices of a whole
+solution and the two-row case of a single pair alike) and a
 characteristic-polynomial oracle that bisects on exact Sturm counts: the
 leading principal minors as Python integers over one power-of-two
 denominator 2**E, exact for float entries (Barth, Martin & Wilkinson, Numer.
@@ -71,13 +73,25 @@ def _scaled_weight(a: float, xs: np.ndarray) -> np.ndarray:
     return np.exp(-a * np.cos(xs / 2.0) ** 2)
 
 
-def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
-                           a: float | None = None) -> InnerProductReport:
+def _scaled_grams(src, rows: np.ndarray, branch: Branch):
+    """Weighted Gram matrices of the coefficient rows over src's layout and a,
+    times e^(-a/2): by the trapezoid rule, rescaled to the 2*pi window, and by
+    the Bessel kernel."""
+    xs, dxi = _quadrature_grid(src.n, src.a, src.period)
+    f = harmonic_sum(src.xi_frequencies, rows.T, xs, branch).T  # (rows, npts)
+    gram_quad = (f * _scaled_weight(src.a, xs)) @ f.T * dxi * (2.0 * np.pi / src.period)
+    kern = bilinear_weight_kernel(src.xi_frequencies, src.a)
+    gram_bess = 2.0 * np.pi * (rows @ kern @ rows.T)
+    return gram_quad, gram_bess
+
+
+def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial) -> InnerProductReport:
     """Weighted bilinear inner product over one 2*pi window of xi, by both
-    routes. The odd family integrates over its natural 4*pi period and is
-    rescaled to the 2*pi window (the product of two same-branch functions is
-    2*pi periodic for both parities). Both routes are multiplied by e^(a/2),
-    which overflows above a ~ 1419."""
+    routes: the (k, l) entry of the two-row Gram block. The odd family
+    integrates over its natural 4*pi period and is rescaled to the 2*pi window
+    (the product of two same-branch functions is 2*pi periodic for both
+    parities). Both routes are multiplied by e^(a/2), which overflows above
+    a ~ 1419."""
     if (pk.parity != pl.parity or pk.n != pl.n or pk.a != pl.a
             or pk.branch is not pl.branch):
         raise InvalidPairingError(
@@ -85,15 +99,9 @@ def weighted_inner_product(pk: TrigPolynomial, pl: TrigPolynomial,
             f"({pk.parity.value}, n={pk.n}, a={pk.a}, {pk.branch.value}) vs "
             f"({pl.parity.value}, n={pl.n}, a={pl.a}, {pl.branch.value})"
         )
-    if a is not None and float(a) != pk.a:
-        raise InvalidPairingError(f"explicit a={a} disagrees with the polynomials' a={pk.a}")
-    a = pk.a
-    unscale = math.exp(a / 2.0)
-    xs, dxi = _quadrature_grid(pk.n, a, pk.period)
-    quad = np.sum(_scaled_weight(a, xs) * evaluate(pk, xs) * evaluate(pl, xs)) * dxi
-    quad *= unscale * 2.0 * np.pi / pk.period  # unscale, normalize to the 2*pi window
-    kern = bilinear_weight_kernel(pk.xi_frequencies, a)
-    bess = unscale * 2.0 * np.pi * float(pk.coeffs @ kern @ pl.coeffs)
+    unscale = math.exp(pk.a / 2.0)
+    gq, gb = _scaled_grams(pk, np.array([pk.coeffs, pl.coeffs]), pk.branch)
+    quad, bess = unscale * gq[0, 1], unscale * gb[0, 1]
     return InnerProductReport(pk.k, pl.k, complex(quad), complex(bess), abs(quad - bess))
 
 
@@ -107,13 +115,7 @@ def normalization_check(p: TrigPolynomial) -> float:
 def scaled_gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
     """gram_matrices times e^(-a/2), finite at any a; the check suite uses
     these."""
-    xs, dxi = _quadrature_grid(sol.n, sol.a, sol.period)
-    f = harmonic_sum(sol.xi_frequencies, sol.eigenvectors.T, xs, branch).T  # (dim, npts)
-    gram_quad = (f * _scaled_weight(sol.a, xs)) @ f.T * dxi * (2.0 * np.pi / sol.period)
-    kern = bilinear_weight_kernel(sol.xi_frequencies, sol.a)
-    dmat = sol.eigenvectors
-    gram_bess = 2.0 * np.pi * (dmat @ kern @ dmat.T)
-    return gram_quad, gram_bess
+    return _scaled_grams(sol, sol.eigenvectors, branch)
 
 
 def gram_matrices(sol: SpectralSolution, branch: Branch = Branch.PLUS):
@@ -216,16 +218,9 @@ _CHECK_THRESHOLDS = {
 
 
 def verification_report(parity: Parity, n: int, a: float,
-                        tier: Tier = Tier.DOUBLE,
-                        corrupt_eta_label: int | None = None) -> dict:
-    """Run the invariant suite for one configuration.
-
-    corrupt_eta_label is a test hook: it perturbs that eigenvalue by +1 in the
-    governing-equation residual, which must trip the ode_residual check.
-    """
+                        tier: Tier = Tier.DOUBLE) -> dict:
+    """Run the invariant suite for one configuration."""
     m = build_matrix(parity, n, a)
-    if corrupt_eta_label is not None and not 1 <= corrupt_eta_label <= m.dim:
-        raise InvalidArgumentError(f"corrupt_eta_label={corrupt_eta_label} outside 1..{m.dim}")
     sol = eigen_decompose(m, tier)
     checks = []
 
@@ -245,12 +240,9 @@ def verification_report(parity: Parity, n: int, a: float,
     # conjugates of the plus branch's, with the same moduli, so one phase
     # matrix checks both branches.
     zs = np.arange(64) * (2.0 * np.pi / 64)
-    etas = sol.eigenvalues.copy()
-    if corrupt_eta_label is not None:
-        etas[corrupt_eta_label - 1] += 1.0
-    lhs, f = governing_residual(sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T, etas,
-                                zs, Branch.PLUS)
-    scale = (np.abs(etas) + 2.0 * sol.n * sol.a) * np.max(np.abs(f), axis=0)
+    lhs, f = governing_residual(sol.xi_frequencies, sol.q, sol.a, sol.eigenvectors.T,
+                                sol.eigenvalues, zs, Branch.PLUS)
+    scale = (np.abs(sol.eigenvalues) + 2.0 * sol.n * sol.a) * np.max(np.abs(f), axis=0)
     add("ode_residual", np.max(np.max(np.abs(lhs), axis=0) / np.maximum(scale, 1e-300)))
 
     gq, gb = scaled_gram_matrices(sol)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 from importlib import resources
+from test_verify import corrupt_eta
 
 import incewave
 from incewave import cli
@@ -390,23 +392,29 @@ def test_verify_identically_zero_gram_form_passes(tmp_path, capsys):
     assert all(math.isfinite(c["observed"]) and c["passed"] for c in checks)
 
 
-def test_verify_corruption_exit1(tmp_path, capsys):
+def test_verify_corruption_exit1(tmp_path, capsys, monkeypatch):
+    corrupt_eta(monkeypatch, 2)
     out = tmp_path / "v.json"
     code = run(tmp_path, "verify", "--parity", "even", "--n", "3", "--a", "1",
-               "--corrupt-eta", "2", "--out", str(out))
+               "--out", str(out))
     assert code == 1
     assert "ode_residual" in capsys.readouterr().err
     doc = json.loads(out.read_text())
     assert doc["data"]["passed"] is False
 
 
-@pytest.mark.parametrize("label", ["0", "7", "99", "-1"])
-def test_verify_corruption_label_out_of_range_exit2(tmp_path, capsys, label):
-    out = tmp_path / "v.json"
-    code = run(tmp_path, "verify", "--parity", "even", "--n", "3", "--a", "1",
-               "--corrupt-eta", label, "--out", str(out))
-    assert code == 2
-    assert "outside 1..6" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--parity", "even", "--n", "100000000", "--a", "1"],
+    ["scan", "--parity", "even", "--n-min", "1", "--n-max", "100000000", "--a", "1"],
+])
+def test_dimension_above_the_bound_exits_2_at_once(tmp_path, capsys, argv):
+    # refused before any matrix is built or solved
+    out = tmp_path / "o.json"
+    started = time.monotonic()
+    assert run(tmp_path, *argv, "--out", str(out)) == 2
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_DIM = 4096" in captured.err
     assert not out.exists()
 
 

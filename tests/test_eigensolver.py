@@ -310,7 +310,7 @@ def _count_dd_reference(diag, g_dd, xh, xl, derivs=False):
             p2h, p2l = p2h * f, p2l * f
             if derivs:
                 ex -= np.frexp(f)[1] - 1
-        s = ddc.dd_sign(p1h[0], p1l[0])
+        s = np.where(p1h[0] == 0, np.sign(p1l[0]), np.sign(p1h[0]))
         s = np.where(s == 0, -sprev, s)
         cnt += s != sprev
         sprev = s
@@ -833,6 +833,24 @@ def test_overflowing_back_transform_raises(n):
     # NaN or zero rows
     with pytest.raises(NumericalFailureError):
         eigen_decompose(build_even_matrix(n, 12.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_scale_factor_fails_typed_without_warnings(monkeypatch):
+    # at dim ~ 4000 the similarity scale underflows to exactly 0; dividing by
+    # it must raise NumericalFailureError, not warn "divide by zero" first.
+    # Even n=15, a=12 has pair clusters: the cluster rotation divides first
+    m = build_even_matrix(15, 12.0)
+    vals, _, _, scale, v, _ = es._values(m, Tier.DOUBLE)
+    d = es._similarity_scale(m)
+    d[0] = 0.0
+    with pytest.raises(NumericalFailureError, match="cluster rotation"):
+        es._rotate_clusters(m, es._cluster_slices(vals, scale), v, d)
+    # odd n=2, a=5 has none: the back-transform divides first
+    monkeypatch.setattr(es, "_similarity_scale",
+                        lambda m: np.concatenate([[0.0], np.ones(m.dim - 1)]))
+    with pytest.raises(NumericalFailureError, match="back-transform"):
+        eigen_decompose(build_odd_matrix(2, 5.0))
 
 
 # 50-digit references for the odd family n=15, a=12 (descending); its top

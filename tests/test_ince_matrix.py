@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from incewave.bessel import bilinear_weight_kernel, scaled_bessel_i_table
 from incewave.eigensolver import SpectralSolution, Tier, char_poly_eval, char_poly_scaled
 from incewave.errors import InvalidArgumentError
-from incewave.ince_matrix import Parity, build_even_matrix, build_matrix, build_odd_matrix
+from incewave.ince_matrix import (MAX_DIM, Parity, build_even_matrix, build_matrix,
+                                  build_odd_matrix)
 from incewave.polynomials import Branch, TrigPolynomial
 
 
@@ -218,3 +219,12 @@ def test_band_beyond_float_range_rejected(builder, n, a):
     with pytest.raises(InvalidArgumentError, match="too large"):
         builder(n, a)
     assert np.all(np.isfinite(builder(n, a / (2 * n + 1)).super))
+
+
+def test_dimension_bound_refuses_before_building():
+    assert MAX_DIM == 4096
+    assert build_even_matrix(2048, 1.0).dim == MAX_DIM
+    with pytest.raises(InvalidArgumentError, match="dimension 4097, above the limit MAX_DIM = 4096"):
+        build_odd_matrix(2048, 1.0)
+    with pytest.raises(InvalidArgumentError, match="MAX_DIM"):
+        build_even_matrix(10**8, 1.0)

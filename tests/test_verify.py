@@ -30,8 +30,6 @@ def test_pairing_validation():
     pm = make_polynomial(se, 2, Branch.MINUS)
     with pytest.raises(InvalidPairingError):
         weighted_inner_product(pe, pm)
-    with pytest.raises(InvalidPairingError):
-        weighted_inner_product(pe, pe, a=7.0)
 
 
 def test_a0_distinct_states_orthogonal():
@@ -229,8 +227,22 @@ def test_report_trivial_configuration():
     assert "oracle_delta" in byname  # dim 1 qualifies for the oracle
 
 
-def test_report_corruption_trips_ode_residual():
-    rep = verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE, corrupt_eta_label=2)
+def corrupt_eta(monkeypatch, label):
+    """Perturb eigenvalue label (1-based) by +1 where the check suite
+    evaluates the governing equation."""
+    exact = verify.governing_residual
+
+    def corrupted(freqs, q, a, coeffs, etas, z, branch):
+        etas = etas.copy()
+        etas[label - 1] += 1.0
+        return exact(freqs, q, a, coeffs, etas, z, branch)
+
+    monkeypatch.setattr(verify, "governing_residual", corrupted)
+
+
+def test_report_corruption_trips_ode_residual(monkeypatch):
+    corrupt_eta(monkeypatch, 2)
+    rep = verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE)
     assert not rep["passed"]
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert failing == ["ode_residual"]
@@ -270,15 +282,10 @@ def test_minus_branch_residual_is_the_conjugate_of_the_plus_branch():
 
 
 @pytest.mark.parametrize("label", [1, 6])
-def test_report_corruption_of_end_labels_trips_ode_residual(label):
-    rep = verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE, corrupt_eta_label=label)
+def test_report_corruption_of_end_labels_trips_ode_residual(monkeypatch, label):
+    corrupt_eta(monkeypatch, label)
+    rep = verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE)
     assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["ode_residual"]
-
-
-@pytest.mark.parametrize("label", [0, 7, 99, -1])
-def test_report_rejects_corruption_label_outside_range(label):
-    with pytest.raises(InvalidArgumentError):
-        verification_report(Parity.EVEN, 3, 1.0, Tier.DOUBLE, corrupt_eta_label=label)
 
 
 @pytest.mark.parametrize("builder", [build_even_matrix, build_odd_matrix])

@@ -1,7 +1,6 @@
 """Prefactor, Bessel series, and assembled scalar wavefunctions."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ import pytest
 from incewave.eigensolver import eigen_decompose
 from incewave.errors import (EvanescentSolutionError, InvalidArgumentError,
                              InvalidConfigError)
-from incewave.ince_matrix import build_even_matrix, build_odd_matrix
+from incewave.ince_matrix import Parity, build_even_matrix, build_matrix, build_odd_matrix
+from incewave.physics import PHatKind, momentum_spectrum
 from incewave.polynomials import Branch, evaluate, make_polynomial
 from incewave.wavefunction import (ScalarSolution, SpinorSlot, polynomial_with_prefactor,
                                    prefactor, prefactor_series, prefactor_series_sum,
@@ -75,7 +75,7 @@ def test_prefactor_overflow_raises():
 def test_scalar_wavefunction_inherits_prefactor_check():
     s = _scalar(a=5000.0)
     with pytest.raises(InvalidArgumentError, match="overflows"):
-        scalar_wavefunction(s, np.pi * s.kp / s.k0, 0.0, 0.0, 0.0)
+        scalar_wavefunction(s, np.pi * math.sqrt(1 - s.n_m**2), 0.0, 0.0, 0.0)
 
 
 def test_overflowing_product_with_polynomial_raises():
@@ -86,9 +86,9 @@ def test_overflowing_product_with_polynomial_raises():
     assert np.isfinite(prefactor(2839.0, np.pi))
     with pytest.raises(InvalidArgumentError, match="overflows"):
         polynomial_with_prefactor(poly, np.pi)
-    s = ScalarSolution(poly, SpinorSlot.S12, 0.0, 0.0, 1.0, 0.8, 0.6)
+    s = ScalarSolution(poly, SpinorSlot.S12, 0.0, 0.0, 0.6)
     with pytest.raises(InvalidArgumentError, match="overflows"):
-        scalar_wavefunction(s, np.pi * s.kp / s.k0, 0.0, 0.0, 0.0)
+        scalar_wavefunction(s, np.pi * 0.8, 0.0, 0.0, 0.0)
     xs = np.array([0.0, 1.0])
     np.testing.assert_array_equal(polynomial_with_prefactor(poly, xs),
                                   prefactor(2839.0, xs) * evaluate(poly, xs))
@@ -105,29 +105,28 @@ def test_large_a_peak_train():
     assert np.all(np.minimum(d, 2 * np.pi - d) < 0.3)
 
 
-def _cfg(n_m=0.6, k0=2.0, kp=1.6):
-    return SimpleNamespace(n_m=n_m, k0_cm=k0, kp_cm=kp)
-
-
 def test_x_hat_examples():
-    assert x_hat(0.0, 0.0, _cfg()) == 0.0
-    cfg = _cfg(n_m=0.0, k0=1.0, kp=1.0)
-    assert x_hat(5.0, 3.25, cfg) == 3.25
-    cfg = _cfg(n_m=0.6, k0=1.0, kp=0.8)
+    assert x_hat(0.0, 0.0, 0.6) == 0.0
+    assert x_hat(5.0, 3.25, 0.0) == 3.25
+    # k_0/k_p = 1/sqrt(1 - 0.6**2) = 1.25
+    assert x_hat(1.0, 3.0, 0.6) == pytest.approx(1.25 * (3.0 - 0.6), rel=1e-15)
     ct = 7.0
-    assert x_hat(ct, 0.6 * ct, cfg) == pytest.approx(0.0, abs=1e-15)
+    assert x_hat(ct, 0.6 * ct, 0.6) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_x_hat_rejects_fast_medium():
     with pytest.raises(InvalidConfigError):
-        x_hat(0.0, 0.0, _cfg(n_m=1.0))
+        x_hat(0.0, 0.0, 1.0)
+    with pytest.raises(InvalidConfigError):
+        _scalar(n_m=1.0)
 
 
 def test_x_hat_with_physical_config():
+    # the frame derived from n_m equals the config's k_0/k_p to rounding
     from incewave.physics import derive_config
 
     cfg = derive_config(1.563, plasma_energy_ev=1.0, intensity_wcm2=0.0)
-    got = x_hat(2.0, 5.0, cfg)
+    got = x_hat(2.0, 5.0, cfg.n_m)
     assert got == pytest.approx((cfg.k0_cm / cfg.kp_cm) * (5.0 - cfg.n_m * 2.0), rel=1e-15)
 
 
@@ -135,9 +134,7 @@ def _scalar(n=0, a=0.0, p_hat=0.0, p_z=0.0, branch=Branch.PLUS,
             slot=SpinorSlot.S12, n_m=0.6):
     sol = eigen_decompose(build_odd_matrix(n, a))
     poly = make_polynomial(sol, 1, branch)
-    k0 = 1.0
-    kp = k0 * math.sqrt(1 - n_m**2)
-    return ScalarSolution(poly, slot, p_hat, p_z, k0, kp, n_m)
+    return ScalarSolution(poly, slot, p_hat, p_z, n_m)
 
 
 def test_scalar_slot_branch_pairing():
@@ -152,7 +149,7 @@ def test_scalar_slot_branch_pairing():
 def test_scalar_px_quantization():
     sol = eigen_decompose(build_even_matrix(3, 1.0))
     poly = make_polynomial(sol, 1)
-    s = ScalarSolution(poly, SpinorSlot.S12, 0.0, 0.0, 1.0, 0.5, 0.3)
+    s = ScalarSolution(poly, SpinorSlot.S12, 0.0, 0.0, 0.3)
     assert s.p_x == 3.0
 
 
@@ -179,7 +176,7 @@ def test_scalar_modulus_independent_of_real_momenta():
         v0 = scalar_wavefunction(base, ct, x, y, z)
         v1 = scalar_wavefunction(kicked, ct, x, y, z)
         assert abs(v0) == pytest.approx(abs(v1), rel=1e-13)
-        xi = (base.k0 / base.kp) * (ct - base.n_m * y)
+        xi = (ct - base.n_m * y) / math.sqrt(1 - base.n_m**2)
         expect = prefactor(2.0, xi) * abs(evaluate(base.polynomial, xi))
         assert abs(v0) == pytest.approx(expect, rel=1e-13)
 
@@ -190,8 +187,8 @@ def test_evanescent_gate():
         scalar_wavefunction(s, 1.0, 0.0, 2.0, 0.0)
     v = scalar_wavefunction(s, 1.0, 0.0, 2.0, 0.0, allow_evanescent=True)
     # real exponential: no oscillation from the x_hat factor
-    xi = (s.k0 / s.kp) * (1.0 - s.n_m * 2.0)
-    xh = (s.k0 / s.kp) * (2.0 - s.n_m * 1.0)
+    xi = (1.0 - s.n_m * 2.0) / math.sqrt(1 - s.n_m**2)
+    xh = (2.0 - s.n_m * 1.0) / math.sqrt(1 - s.n_m**2)
     expect = math.exp(-2.0 * xh) * prefactor(0.0, xi) * evaluate(s.polynomial, xi)
     assert v == pytest.approx(expect, rel=1e-13)
 
@@ -217,3 +214,64 @@ def test_full_wave_contains_all_harmonics():
     # envelope decay: compare two far harmonics
     far, farther = spec[n + 10], spec[n + 20]
     assert farther < far
+
+
+# Sixth-order central difference of the second derivative, step 1.
+_D2 = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
+
+
+def _solution_from_record(parity, n, a, k, pz_scaled, K, n_m, slot, p_hat_unit=0.5):
+    """ScalarSolution of label k from its momentum_spectrum record: p_hat is
+    record.p_hat / 2 (times 1j when evanescent) and p_z is pz_scaled / 2."""
+    sol = eigen_decompose(build_matrix(parity, n, a))
+    rec = momentum_spectrum(sol, pz_scaled, K)[k - 1]
+    p_hat = p_hat_unit * rec.p_hat * (1j if rec.p_hat_kind is PHatKind.EVANESCENT else 1)
+    branch = Branch.PLUS if slot is SpinorSlot.S12 else Branch.MINUS
+    return ScalarSolution(make_polynomial(sol, k, branch), slot, p_hat, pz_scaled / 2, n_m)
+
+
+def _spacetime_residual(s, K, h=1e-2):
+    """Largest relative residual of
+        d2_ct Psi - d2_y Psi - d2_z Psi + (p_x - A)^2 Psi + kappa^2 Psi
+        - i (d_ct A) lambda Psi = 0,
+    A = (a/4) cos xi, kappa = K/2, lambda = +-sqrt(1 - n_m^2) for S12/S34, in
+    k_p units, at x = 0 over a few points: |sum| over the largest |term|."""
+    rng = np.random.default_rng(7)
+    ct, y, z = rng.uniform(-1.5, 1.5, (3, 8, 1))
+    steps = np.arange(-3, 4) * h
+
+    def d2(ct, y, z):
+        return scalar_wavefunction(s, ct, 0.0, y, z, allow_evanescent=True) @ _D2 / h**2
+
+    a, n_m = s.polynomial.a, s.n_m
+    root = math.sqrt(1 - n_m**2)
+    lam = root if s.spinor_slot is SpinorSlot.S12 else -root
+    psi = scalar_wavefunction(s, ct, 0.0, y, z, allow_evanescent=True)[:, 0]
+    xi = ((ct - n_m * y) / root)[:, 0]
+    pot = (a / 4) * np.cos(xi)
+    dpot_dct = -(a / 4) * np.sin(xi) / root
+    terms = [d2(ct + steps, y, z), -d2(ct, y + steps, z), -d2(ct, y, z + steps),
+             (s.p_x - pot) ** 2 * psi, (K / 2) ** 2 * psi, -1j * dpot_dct * lam * psi]
+    return float(np.max(np.abs(sum(terms)) / np.max(np.abs(terms), axis=0)))
+
+
+SPACETIME_CASES = [
+    # parity, n, a, k, pz_scaled, K, n_m, slot
+    (Parity.EVEN, 3, 1.0, 2, 0.5, 3.0, 0.6, SpinorSlot.S12),
+    (Parity.ODD, 2, 2.5, 1, 0.0, 7.0, 0.3, SpinorSlot.S12),
+    (Parity.EVEN, 4, 0.5, 3, 1.0, 1.0, 0.8, SpinorSlot.S34),
+    (Parity.ODD, 3, 1.5, 6, 0.2, 0.0, 0.5, SpinorSlot.S34),
+]
+
+
+@pytest.mark.parametrize("case", SPACETIME_CASES)
+def test_record_solution_solves_the_spacetime_equation(case):
+    # With R = k_0/k_p, R^2 (1 - n_m^2) = 1 and lambda R = +-1, the equation
+    # reduces exactly to the governing equation at z = xi/2 with
+    # eta = p_hat_s^2 + (2 p_x)^2 + pz_s^2 + K^2 + (a/2)^2, the radicand of
+    # momentum_spectrum. What remains is the difference floor, ~1e-10 at
+    # h = 1e-2; 1e-8 leaves room for it and nothing else.
+    K = case[5]
+    assert _spacetime_residual(_solution_from_record(*case), K) < 1e-8
+    # the record's p_hat is |2 p_hat / k_p|: without the halving Psi solves nothing
+    assert _spacetime_residual(_solution_from_record(*case, p_hat_unit=1.0), K) > 1e-3
