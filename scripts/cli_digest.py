@@ -80,6 +80,14 @@ ORACLE = [
     for a in ("0", "1e-12", "1e-3", "1", "1e5", "1e7")
 ]
 
+# mid-range a that is not dyadic, where the bands are rounded and the model's
+# edge products N_j a**2 are not their products
+NON_DYADIC = [
+    "spectrum --parity even --n 15 --a 0.3 --tier extended --format json --out spec.json",
+    "spectrum --parity odd --n 20 --a 123.456 --tier extended --format csv --out spec.csv",
+    "verify --parity odd --n 15 --a 3.7 --tier extended",
+]
+
 
 def _digest(data: bytes) -> str:
     kept = [line for line in data.splitlines(keepends=True) if b'"wall_time_s":' not in line]
@@ -106,7 +114,7 @@ def run(command: str, scratch: str) -> list[str]:
 if __name__ == "__main__":
     home = os.getcwd()
     try:
-        for command in README + SPECTRA + OTHERS + WAVES + SIZES + ORACLE:
+        for command in README + SPECTRA + OTHERS + WAVES + SIZES + ORACLE + NON_DYADIC:
             with tempfile.TemporaryDirectory() as scratch:
                 print("\n".join(run(command, scratch)))
     finally:

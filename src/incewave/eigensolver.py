@@ -7,14 +7,16 @@ back once. Below the ceiling of 2**1020 on its entries nothing overflows.
 One LAPACK call, numpy.linalg.eigh on the dense symmetrized problem, gives
 all float64 eigenvalues, which are the double-tier values, and starting
 vectors. The extended tier refines each value in double-double arithmetic on
-the leading-principal-minor recurrence, which only involves the super*sub
-products. The number of eigenvalues below a shift equals the number of sign
-changes along it (the Sturm count), and the same pass carries the
-characteristic polynomial with its first two derivatives. Each LAPACK value
-is bracketed at 64 ulps of the spectral scale, and steps to the root of a
-local quadratic model of the polynomial finish the value in a few passes
-while the counts tighten the brackets; the first pass also confirms the
-brackets by counts at their ends. Every result is certified by Sturm counts 1e-26 of the scale to
+the leading-principal-minor recurrence, which only involves the edge
+products, formed from the model as N_j a**2 (TridiagonalMatrix.edge_factors)
+rather than from the rounded bands, so it certifies the model itself. The
+number of eigenvalues below a shift equals the number of sign changes along
+it (the Sturm count), and the same pass carries the characteristic
+polynomial with its first two derivatives. Each LAPACK value is bracketed at
+64 ulps of the spectral scale, and steps to the root of a local quadratic
+model of the polynomial finish the value in a few passes while the counts
+tighten the brackets; the first pass also confirms the brackets by counts at
+their ends. Every result is certified by Sturm counts 1e-26 of the scale to
 either side of it; bisection on the counts takes over for any label that is
 not. The compensated recurrence resolves eigenvalue pairs splitting around
 the 12th significant digit, below one ulp of the values themselves.
@@ -32,7 +34,8 @@ coefficient vectors. That recovers the correct pair members even when the
 splitting is below arithmetic resolution; members are matched to eigenvalues
 by the compensated two-sided Rayleigh quotient, compared as (hi, lo) pairs.
 The vectors are then mapped back through the diagonal similarity scaling,
-D = v / d.
+D = v / d; blocks of v / d, which reach 2**996 at dimension 2000, are held
+inside float range by exact powers of two (_in_range).
 
 nearest_eigenpair runs the same stages on the few labels around one eta
 (_window), and at the extended tier on labels 1 and dim, which set the
@@ -140,19 +143,21 @@ def _similarity_scale(m: TridiagonalMatrix) -> np.ndarray:
 def _scaled_problem(m: TridiagonalMatrix, shift: float = 0.0):
     """(diag, c, g_dd, e): the matrix scaled by 2**-e, with 2**e just above
     max(|diag|, sqrt(super*sub), |shift|), as its diagonal, its symmetrized
-    off-diagonals sqrt(super*sub) and its super*sub products as exact
-    double-double values. Entries at or above _MAX_SCALE raise
-    InvalidArgumentError; a finite shift may reach the top of the float
-    range, and scaled by 2**-e it stays below 1."""
+    off-diagonals c = sqrt(g_dd hi) and its edge products g_dd, the model's
+    N_j (a 2**-e)**2 (edge_factors) in double-double; a is scaled before it
+    is squared. Entries at or above _MAX_SCALE raise InvalidArgumentError; a
+    finite shift may reach the top of the float range, and scaled by 2**-e it
+    stays below 1."""
     size = max(float(np.max(np.abs(m.diag))),
                float(np.max(np.sqrt(np.abs(m.super)) * np.sqrt(np.abs(m.sub)), initial=0.0)))
     if not size < _MAX_SCALE:
         raise InvalidArgumentError(f"matrix entries reach {size:.4g}, above the solver's "
                                    f"ceiling 2**1020 = {_MAX_SCALE:.4g}: a is too large")
     e = math.frexp(max(size, abs(shift)))[1]
-    g_dd = ddc.two_prod(np.ldexp(m.super, -e), np.ldexp(m.sub, -e))
-    if np.any(g_dd[0] < 0):
-        raise NumericalFailureError("off-diagonal products must be >= 0 for a valid matrix")
+    nj = m.edge_factors
+    sh, sl = ddc.two_prod(*(math.ldexp(m.a, -e),) * 2)
+    gh, gl = ddc.two_prod(nj, sh)
+    g_dd = ddc.quick_two_sum(gh, gl + nj * sl)
     return np.ldexp(m.diag.astype(float), -e), np.sqrt(g_dd[0]), g_dd, e
 
 
@@ -588,6 +593,16 @@ def _rayleigh_dd(m: TridiagonalMatrix, right: np.ndarray, left: np.ndarray | Non
     return qh.reshape(right.shape[1:]), ql.reshape(right.shape[1:])
 
 
+def _in_range(w: np.ndarray, axes) -> np.ndarray:
+    """w times the exact power of two that brings its largest magnitude over
+    axes to [1/2, 1), where that magnitude is outside 2**-256 .. 2**256; w
+    unchanged where it is inside (or zero, or not finite). Coefficient blocks
+    v / d reach 2**996 at dimension 2000, and their products would overflow."""
+    ex = np.frexp(np.max(np.abs(w), axis=axes, keepdims=True))[1]
+    out = np.abs(ex) > 256
+    return np.ldexp(w, np.where(out, -ex, 0)) if out.any() else w
+
+
 def _fix_signs(vecs_rows: np.ndarray) -> np.ndarray:
     """Make each row's largest-magnitude component positive; argmax takes the
     first maximum, so ties break toward lower r."""
@@ -612,7 +627,7 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
     for s, cols in groups.items():
         blocks[s] = _blocks(v, cols)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = blocks[s] / d[:, None]
+            u = _in_range(blocks[s] / d[:, None], (1, 2))  # a common factor per cluster
             grams[s] = u.swapaxes(1, 2) @ weight @ u
     # the lowest cluster whose form is not finite, as a cluster-by-cluster pass would find it
     bad = [(int(cols[j, 0]), s) for s, cols in groups.items()
@@ -626,7 +641,8 @@ def _rotate_clusters(m: TridiagonalMatrix, clusters: list[slice], v: np.ndarray,
         _put_blocks(v, cols, blocks[s] @ np.linalg.eigh(grams[s])[1])
     cols = np.concatenate([cols.ravel() for cols in groups.values()])
     qh, ql = np.empty(v.shape[1]), np.empty(v.shape[1])
-    qh[cols], ql[cols] = _rayleigh_dd(m, v[:, cols] / d[:, None], v[:, cols] * d[:, None])
+    qh[cols], ql[cols] = _rayleigh_dd(m, _in_range(v[:, cols] / d[:, None], 0),
+                                      _in_range(v[:, cols] * d[:, None], 0))
     for cols in groups.values():
         order = np.lexsort((-ql[cols], -qh[cols]))
         v[:, cols.ravel()] = v[:, np.take_along_axis(cols, order, axis=1).ravel()]
@@ -723,7 +739,7 @@ def _solve(m: TridiagonalMatrix, tier: Tier, eta: float | None = None):
     v = _inverse_sweeps(m.diag.astype(float), c, vals, v, clusters)
     v = _rotate_clusters(m, clusters, v, dscale)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vecs = (v / dscale[:, None]).T
+        vecs = _in_range((v / dscale[:, None]).T, 1)
         norm = np.sqrt(np.sum(vecs**2, axis=1))
     if not np.all(np.isfinite(norm)):
         k = win.start + int(np.argmax(~np.isfinite(norm))) + 1

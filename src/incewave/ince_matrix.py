@@ -13,9 +13,11 @@ frequency f = -p_x+1 .. p_x, so the dimension is 2 p_x, and the entries are
 Up to a diagonal similarity this is 4 Jz**2 + 4 Jz + 1 + 2 a Jx in the
 spin-j representation of su(2), j = p_x - 1/2, Jz = f - 1/2.
 
-For a > 0 every super*sub product on a shared edge is positive, so the matrix
-is similar to a real symmetric tridiagonal one and its spectrum is real and
-simple.
+The product super*sub on a shared edge is N a**2, with the exact integer
+N = (p_x + f)(p_x - f) >= 1 (edge_factors); every consumer of the products
+forms them from N and a, not from the rounded bands. For a > 0 they are
+positive, so the matrix is similar to a real symmetric tridiagonal one and
+its spectrum is real and simple.
 """
 
 from __future__ import annotations
@@ -62,14 +64,6 @@ class HarmonicLayout:
         return np.floor(self.xi_frequencies).astype(int)
 
     @property
-    def row_index_lo(self) -> int:
-        return math.floor(1 - self.p_x)
-
-    @property
-    def row_index_hi(self) -> int:
-        return self.n
-
-    @property
     def q(self) -> int:
         return self.dim - 1
 
@@ -98,9 +92,12 @@ class TridiagonalMatrix(HarmonicLayout):
         for arr in (self.diag, self.super, self.sub):
             arr.setflags(write=False)
 
-    def offdiag_products(self) -> np.ndarray:
-        """super[j] * sub[j] per shared edge; all > 0 when a > 0."""
-        return self.super * self.sub
+    @property
+    def edge_factors(self) -> np.ndarray:
+        """N_j = (p_x + f_j)(p_x - f_j) per shared edge, exact integers >= 1:
+        the edge product super[j] * sub[j] of the model is N_j a**2."""
+        f = self.xi_frequencies[:-1]
+        return (self.p_x + f) * (self.p_x - f)
 
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diag.copy())

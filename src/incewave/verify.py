@@ -6,9 +6,9 @@ computes both for a block of coefficient rows, the Gram matrices of a whole
 solution and the two-row case of a single pair alike) and a
 characteristic-polynomial oracle that bisects on exact Sturm counts: the
 leading principal minors as Python integers over one power-of-two
-denominator 2**E, exact for float entries (Barth, Martin & Wilkinson, Numer.
-Math. 9 (1967) 386), with no other scaling and nothing shared with the
-eigensolver's double-double recurrence.
+denominator 2**E, exact for the model's entries 4 f**2 and N_j a**2 (Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386), with no other scaling and
+nothing shared with the eigensolver's double-double recurrence.
 
 The weighted pairing is bilinear, not conjugated: for same-branch solutions
 f_k, f_l of the governing equation, multiplying by w(xi) = exp(-(a/2) cos xi)
@@ -137,13 +137,10 @@ def _binary(x: float) -> tuple[int, int]:
 
 
 def _integer_bands(m: TridiagonalMatrix) -> tuple[list[int], list[int], int]:
-    """The diagonal times 2**e and the edge products super * sub times 4**e,
-    as exact integers, where 2**e is the finest binary denominator among the
-    entries."""
-    diag, sup, sub = ([_binary(v) for v in band] for band in (m.diag, m.super, m.sub))
-    e = max(ev for _, ev in diag + sup + sub)
-    return ([num << (e - ev) for num, ev in diag],
-            [(un << (e - ue)) * (ln << (e - le)) for (un, ue), (ln, le) in zip(sup, sub)], e)
+    """The model's diagonal 4 f**2 times 2**e and edge products N_j a**2
+    (edge_factors) times 4**e, as exact integers, where a = num / 2**e."""
+    num, e = _binary(m.a)
+    return [int(d) << e for d in m.diag], [int(n) * num * num for n in m.edge_factors], e
 
 
 def _exact_count(diag: list[int], g: list[int], e: int, x: float) -> int:
@@ -170,14 +167,14 @@ def _exact_count(diag: list[int], g: list[int], e: int, x: float) -> int:
 
 def oracle_eigenvalues(m: TridiagonalMatrix) -> list[float]:
     """All eigenvalues (descending) by bisection on exact Sturm counts,
-    independent of the solver: every entry is a float, so over one common
-    power-of-two denominator 2**E the minors are exact Python integers and
-    need no other scaling. Each label is bisected from the bound
-    min/max diag -/+ (2 a dim + 1) until its bracket is a quarter ulp of that
-    bound or its midpoint rounds to an end. With every coupling zero the
-    diagonal is the spectrum. Dimensions above 8 are refused for cost: a count
-    is O(dim) integer operations on numerators that grow by about E bits per
-    row."""
+    independent of the solver: the model's entries are 4 f**2 and N_j a**2
+    with a a float, so over one common power-of-two denominator 2**E the
+    minors are exact Python integers and need no other scaling. Each label
+    is bisected from the bound min/max diag -/+ (2 a dim + 1) until its
+    bracket is a quarter ulp of that bound or its midpoint rounds to an end.
+    With every coupling zero the diagonal is the spectrum. Dimensions above 8
+    are refused for cost: a count is O(dim) integer operations on numerators
+    that grow by about E bits per row."""
     if m.dim > 8:
         raise InvalidArgumentError("the characteristic-polynomial oracle is limited to dim <= 8")
     if m.a == 0 or m.dim == 1:

@@ -726,12 +726,18 @@ def test_stacked_qr_and_eigh_of_one_matrix_match_single_calls():
 
 
 def test_lowest_failing_cluster_is_named():
-    # even n=600, a=12: the Gram forms of many clusters are not finite; the
-    # message names the lowest, as a cluster-by-cluster pass does
+    # the Gram forms of two clusters are not finite, a pair's and that of a
+    # cluster of 3 above it; the clusters of 3 are stacked first, and the
+    # message still names the lowest, as a cluster-by-cluster pass does
+    m = build_even_matrix(15, 12.0)
+    v, d = es._values(m, Tier.DOUBLE)[4], es._similarity_scale(m)
+    clusters = [slice(0, 1), slice(1, 4), slice(4, 6), slice(6, 9),
+                *(slice(i, i + 1) for i in range(9, 30))]
+    v[:, 4], v[:, 7] = np.inf, np.nan
     with pytest.raises(NumericalFailureError) as exc:
-        eigen_decompose(build_even_matrix(600, 12.0))
-    assert str(exc.value) == ("cluster rotation for labels k=692..693: Gram form not finite "
-                              "(smallest scale factor 2.2458881269338526e-180)")
+        es._rotate_clusters(m, clusters, v, d)
+    assert str(exc.value) == ("cluster rotation for labels k=5..6: Gram form not finite "
+                              f"(smallest scale factor {float(np.min(d))!r})")
 
 
 @given(parity=st.booleans(), n=st.integers(1, 60), log_a=st.floats(-3.0, 2.0))
@@ -826,13 +832,22 @@ def test_residual_check_rejects_non_finite_rows():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [520, 600])
-def test_overflowing_back_transform_raises(n):
-    # the diagonal scaling reaches 1e-150 and below: the back-transform or
-    # the cluster rotation overflows, which must raise rather than return
-    # NaN or zero rows
-    with pytest.raises(NumericalFailureError):
-        eigen_decompose(build_even_matrix(n, 12.0))
+@pytest.mark.parametrize("builder,n,tier", [(build_even_matrix, 520, Tier.DOUBLE),
+                                            (build_even_matrix, 600, Tier.DOUBLE),
+                                            (build_odd_matrix, 520, Tier.DOUBLE),
+                                            (build_odd_matrix, 600, Tier.DOUBLE),
+                                            (build_even_matrix, 520, Tier.EXTENDED)])
+def test_large_dimension_vectors_held_in_float_range(builder, n, tier):
+    # the diagonal scaling reaches 2**-500 and below, so the coefficient
+    # blocks v / d of the cluster rotation, its Rayleigh quotients and the
+    # back-transform reach 2**500, whose squares overflow; held inside float
+    # range by exact powers of two, every vector comes out unit and right
+    m = builder(n, 12.0)
+    sol = eigen_decompose(m, tier)
+    assert np.min(es._similarity_scale(m)) < 2.0**-500
+    res = es.eigenpair_residuals(m, sol.eigenvalues, sol.eigenvectors)
+    assert np.max(res / (np.abs(sol.eigenvalues) + m.a * m.dim)) <= 1e-14
+    np.testing.assert_allclose(np.sum(sol.eigenvectors**2, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 @pytest.mark.filterwarnings("error")
@@ -918,6 +933,29 @@ def test_compensated_count_resolves_tight_pair(sol_n15_extended):
     n_above = int(_count_dd(m.diag, g_dd, np.array([h2 + 1e-6]), np.array([0.0]))[0])
     assert n_mid == n_below + 1
     assert n_above == n_below + 2
+
+
+@pytest.mark.parametrize("n,a", [(8, 0.01), (10, 1e-3)])
+def test_small_a_pair_splits_follow_the_chain_formula(n, a):
+    # the mirror harmonics f = +-m of the even family (labels 2(n-m) and
+    # 2(n-m)+1) couple through the chain of 2m edges between them, so at
+    # small a their split is 2 prod_{f=-m}^{m-1} sqrt(N_f) a divided by
+    # prod_{f=-m+1}^{m-1} 4(m**2 - f**2), to 4e-5 of the true split for
+    # m >= 2. Splits well above the certification width are resolved to
+    # 1e-3; those below it read within twice that width, not the 1e-20 the
+    # rounded bands' products give
+    m = build_even_matrix(n, a)
+    sol = eigen_decompose(m, Tier.EXTENDED)
+    t = 1e-26 * float(np.max(np.abs(sol.eigenvalues)))
+    for half in range(2, n):
+        num = math.prod(math.sqrt((n + f) * (n - f)) * a for f in range(-half, half))
+        chain = 2 * num / math.prod(4 * (half**2 - f * f) for f in range(-half + 1, half))
+        (h1, l1), (h2, l2) = sol.eigenvalue_dd(2 * (n - half)), sol.eigenvalue_dd(2 * (n - half) + 1)
+        split = (h1 - h2) + (l1 - l2)
+        if chain > 10 * t:
+            assert split == pytest.approx(chain, rel=1e-3), half
+        elif chain < t:
+            assert split <= 2 * t, half
 
 
 def test_pair_member_assignment(sol_n15_extended):

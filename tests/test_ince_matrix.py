@@ -19,7 +19,7 @@ from incewave.polynomials import Branch, TrigPolynomial
 def test_even_n1_a5_entries():
     m = build_even_matrix(1, 5.0)
     assert m.parity is Parity.EVEN
-    assert (m.row_index_lo, m.row_index_hi) == (0, 1)
+    assert (m.row_indices[0], m.row_indices[-1]) == (0, 1)
     np.testing.assert_array_equal(m.diag, [0.0, 4.0])
     np.testing.assert_array_equal(m.super, [5.0])
     np.testing.assert_array_equal(m.sub, [5.0])
@@ -77,6 +77,16 @@ def test_invalid_arguments():
         build_even_matrix(2, float("inf"))
 
 
+def _assert_edge_factors(m):
+    """The edge factors N_j are integers >= 1, and the model's edge product
+    N_j a**2, rounded once, is within 2 ulps of the rounded bands' product."""
+    nj = m.edge_factors
+    assert nj.size == m.dim - 1
+    assert np.all(nj == np.round(nj)) and np.all(nj >= 1)
+    model = np.array([float(int(v) * Fraction(m.a) ** 2) for v in nj])
+    assert np.all(np.abs(m.super * m.sub - model) <= 2 * np.spacing(model))
+
+
 @given(n=st.integers(1, 12),
        a=st.one_of(st.just(0.0), st.floats(1e-6, 50.0, allow_nan=False)))
 @settings(max_examples=60, deadline=None)
@@ -87,11 +97,11 @@ def test_even_invariants(n, a):
     assert m.super.size == m.dim - 1 and m.sub.size == m.dim - 1
     # mirror symmetry of the coupling lists
     np.testing.assert_array_equal(m.super[::-1], m.sub)
+    _assert_edge_factors(m)
     if a > 0:
-        assert np.all(m.offdiag_products() > 0)
         assert m.super[0] == a and m.sub[-1] == a
     # the series terminates below r = -n + 1: there is no r = -n row
-    assert m.row_index_lo == -n + 1
+    assert m.row_indices[0] == -n + 1
 
 
 @given(n=st.integers(0, 12),
@@ -102,8 +112,7 @@ def test_odd_invariants(n, a):
     assert m.dim == 2 * n + 1
     np.testing.assert_array_equal(m.super[::-1], m.sub)
     np.testing.assert_array_equal(m.diag, (2.0 * m.row_indices + 1) ** 2)
-    if a > 0 and n > 0:
-        assert np.all(m.offdiag_products() > 0)
+    _assert_edge_factors(m)
 
 
 def _per_family_reference(parity, n, a):
@@ -139,7 +148,6 @@ def test_layout_matches_per_family_formulas(parity, n, a):
         assert obj.xi_frequencies.tobytes() == freqs.tobytes()
         np.testing.assert_array_equal(obj.row_indices, rows)
         assert (obj.dim, obj.q, obj.p_x, obj.period) == (dim, q, p_x, period)
-        assert (obj.row_index_lo, obj.row_index_hi) == (rows[0], rows[-1])
     # kernel orders |r_i + r_j + sigma| and signs, as the kernel used to take them
     ka = min(a, 1e3)
     msum = rows[:, None] + rows[None, :] + sigma

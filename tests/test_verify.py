@@ -127,9 +127,10 @@ def test_oracle_matches_60_digit_eigenvalues(builder, n, a):
 
 
 def _fraction_count(m, x):
-    """Reference Sturm count: the leading minors in Fraction arithmetic."""
+    """Reference Sturm count of the model: the leading minors in Fraction
+    arithmetic, with the edge products N_j a**2."""
     x = Fraction(x)
-    g = [Fraction(float(u)) * Fraction(float(l)) for u, l in zip(m.super, m.sub)]
+    g = [int(nj) * Fraction(m.a) ** 2 for nj in m.edge_factors]
     p2, p1, count, sprev = 0, 1, 0, 1
     for d, gj in zip(m.diag, (0, *g)):
         p2, p1 = p1, (Fraction(float(d)) - x) * p1 - gj * p2
@@ -170,6 +171,23 @@ def test_oracle_equals_bisection_on_the_fraction_count(monkeypatch, builder, n, 
     got = oracle_eigenvalues(m)
     monkeypatch.setattr(verify, "_exact_count", lambda diag, g, e, x: _fraction_count(m, x))
     assert got == oracle_eigenvalues(m)
+
+
+@pytest.mark.parametrize("builder,n,a", [(build_even_matrix, 15, 0.3), (build_odd_matrix, 15, 3.7),
+                                         (build_even_matrix, 20, 12.345),
+                                         (build_odd_matrix, 20, 123.456),
+                                         (build_even_matrix, 15, 1e-3)])
+def test_extended_values_certified_by_exact_model_counts(builder, n, a):
+    # at a non-dyadic a the rounded bands are not the model; every extended
+    # value hi + lo lies within 1e-26 of the spectral scale of an eigenvalue
+    # of the model itself, by exact Sturm counts of the model to either side
+    m = builder(n, a)
+    sol = eigen_decompose(m, Tier.EXTENDED)
+    t = Fraction(1e-26 * float(np.max(np.abs(sol.eigenvalues))))
+    for k in range(1, m.dim + 1):
+        x = sum(map(Fraction, sol.eigenvalue_dd(k)))
+        below = m.dim - k  # eigenvalues below label k
+        assert _fraction_count(m, x - t) <= below < _fraction_count(m, x + t), k
 
 
 def test_oracle_rejects_large_dimension():
